@@ -6,7 +6,7 @@
 //! weaker observation requirements. This crate implements both so the
 //! reproduction can quantify the paper's central qualitative claim —
 //! precise correlation vs. probabilistic inference — on identical logs
-//! (experiment EXT-1 in DESIGN.md):
+//! (experiment EXT-1, `repro ext1`):
 //!
 //! * [`nesting`] — WAP5-style per-**process** causal inference: message
 //!   pairing is exact, but a process's outgoing message is attributed to

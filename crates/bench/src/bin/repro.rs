@@ -1,6 +1,8 @@
 //! Regenerates every table and figure of the PreciseTracer evaluation
-//! (§5) plus the two extension experiments from DESIGN.md and the
-//! paper-scale streaming stress run.
+//! (§5) plus two extension experiments — EXT-1, precise correlation vs
+//! WAP5-style nesting as concurrency rises, and EXT-2, an ablation of
+//! the algorithm's ingredients — and the paper-scale streaming stress
+//! run.
 //!
 //! ```text
 //! repro [--quick] [--json] [--shards N] [--experiment ID]...

@@ -9,7 +9,7 @@
 //! skewed clocks, plus the ground-truth request tagging the paper used
 //! to validate accuracy (§5.2).
 //!
-//! What is modeled (see DESIGN.md for the full substitution table):
+//! What is modeled:
 //!
 //! * closed-loop client emulators with think times and the RUBiS
 //!   Browse_Only / Default mixes, session phases (ramp-up / runtime /

@@ -111,15 +111,6 @@ pub struct CorrelatorConfig {
     /// `with_lane_settle_depth(0)`) parks indefinitely, the pre-serve
     /// finish-only behavior.
     pub lane_settle_depth: Option<u64>,
-    /// Sharded mode only: ship orphan-chain records (noise chatter the
-    /// batch engine absorbs into never-emitted orphan chains) to the
-    /// workers instead of dropping them reader-side. Dropping them —
-    /// the default — keeps them off the worker hot path and counts
-    /// them in [`crate::metrics::CorrelatorMetrics::orphan_dropped`];
-    /// enabling parity restores per-worker engine counters (orphan
-    /// merges, unmatched receives) identical to a single-shard run at
-    /// the cost of shipping noise.
-    pub orphan_parity: bool,
 }
 
 /// Default [`CorrelatorConfig::channel_idle_horizon`]: a channel whose
@@ -152,7 +143,6 @@ impl CorrelatorConfig {
             max_seal_lag: None,
             channel_idle_horizon: Some(DEFAULT_CHANNEL_IDLE_HORIZON),
             lane_settle_depth: Some(DEFAULT_LANE_SETTLE_DEPTH),
-            orphan_parity: false,
         }
     }
 
@@ -215,14 +205,6 @@ impl CorrelatorConfig {
     /// [`CorrelatorConfig::lane_settle_depth`]).
     pub fn with_lane_settle_depth(mut self, depth: u64) -> Self {
         self.lane_settle_depth = (depth != 0).then_some(depth);
-        self
-    }
-
-    /// Ships sharded orphan-chain records to the workers instead of
-    /// dropping them reader-side (see
-    /// [`CorrelatorConfig::orphan_parity`]).
-    pub fn with_orphan_parity(mut self) -> Self {
-        self.orphan_parity = true;
         self
     }
 
@@ -307,7 +289,8 @@ pub struct CorrelationOutput {
 impl CorrelationOutput {
     /// Renumbers and reorders CAGs into the canonical root order the
     /// sharded merge uses (sort key: root BEGIN timestamp, context,
-    /// channel, size, vertex count — see `ShardedCorrelator::merge`).
+    /// channel, size, vertex count — see the cluster merge in
+    /// [`crate::shard`]).
     ///
     /// [`Pipeline::run`](crate::pipeline::Pipeline::run) applies this
     /// to batch and streaming results so every mode emits the same
@@ -331,7 +314,8 @@ pub(crate) struct Correlator {
 
 /// Renumbers and reorders batch CAGs into the canonical root order the
 /// sharded merge uses (sort key: root BEGIN timestamp, context,
-/// channel, size, vertex count — see `ShardedCorrelator::merge`). On
+/// channel, size, vertex count — see the cluster merge in
+/// [`crate::shard`]). On
 /// well-ordered corpora the engine already seals in root order and this
 /// is the identity; on gap-damaged corpora lost records shuffle
 /// BEGIN-delivery order, and without canonicalization batch ids and

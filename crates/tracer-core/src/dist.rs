@@ -14,9 +14,10 @@
 //!  (the ONE sequential reader)        └ router N-1: …         ┘            merge
 //! ```
 //!
-//! * The **coordinator** runs the exact same reader-side front-end as
-//!   the sharded pipeline ([`ReaderCore`]): the sequential
-//!   [`SessionRouter`](crate::shard) assigns every activity to one of
+//! * The **coordinator** is the same cluster host that runs
+//!   `Mode::Sharded` ([`crate::shard`]), with the peer backend in place
+//!   of worker threads: the sequential session router assigns every
+//!   activity to one of
 //!   `routers × workers_per_router` **global shards**, so a session
 //!   whose records straddle router inputs is owned by exactly one
 //!   worker — the session-assignment *claims* are what travels on the
@@ -24,14 +25,15 @@
 //! * Each **router peer** (a spawned child process, a TCP-connected
 //!   remote `pt router --listen`, or an in-process thread) hosts a
 //!   block of `workers_per_router` shard workers and streams claim
-//!   batches into them exactly like the in-process sharded pipeline.
+//!   batches into them through the same worker-thread block the
+//!   in-process sharded pipeline uses.
 //! * At end of input the coordinator collects every worker's
 //!   [`CorrelationOutput`] in global shard order and performs the
 //!   canonical merge (sort by CAG root, renumber) — so cluster output
 //!   is **byte-identical** to single-process `Mode::Sharded` with the
 //!   same total shard count, on every corpus and over every transport.
 //!
-//! ## Wire protocol
+//! ## Wire protocol (PTDC v2)
 //!
 //! Length-prefixed binary frames in PTBIN style (little-endian,
 //! length-prefixed strings, incremental interning):
@@ -53,6 +55,11 @@
 //! steady-state claim cost independent of string length, like PTBIN's
 //! string table but built online.
 //!
+//! A router decodes frames from the network, so decoding never panics:
+//! Hello and Claim lengths are bounded by what those frames can hold,
+//! the receive buffer grows only as payload bytes arrive, and a
+//! truncated or non-UTF-8 frame ends the session with an error.
+//!
 //! ## Supervision
 //!
 //! A router peer that dies mid-run surfaces as one clear
@@ -67,19 +74,10 @@ use std::io::{self, Read, Write};
 use std::path::PathBuf;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
-use crate::correlator::{CorrelationOutput, CorrelatorConfig, StreamingCorrelator};
+use crate::correlator::{CorrelationOutput, CorrelatorConfig};
 use crate::error::TraceError;
-use crate::raw::{parse_log_iter, RawRecord, RawRecordRef};
-use crate::shard::{run_worker, worker_config, ReaderCore, ShardMsg, MAX_SHARDS};
-
-/// Activities per Claim frame batch — matches the sharded pipeline's
-/// channel batching so a worker sees identical batch boundaries.
-const BATCH_RECORDS: usize = 4_096;
-
-/// Bounded worker-channel capacity inside a router peer, in batches.
-const CHANNEL_BATCHES: usize = 8;
+use crate::shard::{ShardMsg, WorkerThreads, BATCH_RECORDS, MAX_SHARDS};
 
 /// Bounded in-process duplex pipe capacity, in write chunks.
 const PIPE_CHUNKS: usize = 64;
@@ -132,7 +130,7 @@ pub(crate) mod wire {
     use crate::spill::{decode_cag_from, encode_cag};
 
     pub const MAGIC: u32 = 0x5054_4443; // "PTDC"
-    pub const VERSION: u32 = 1;
+    pub const VERSION: u32 = 2;
 
     pub const FRAME_HELLO: u8 = 1;
     pub const FRAME_CLAIM: u8 = 2;
@@ -140,9 +138,21 @@ pub(crate) mod wire {
     pub const FRAME_OUTPUT: u8 = 4;
     pub const FRAME_ERROR: u8 = 5;
 
-    /// Sanity bound on incoming frame length (a corrupt header must
-    /// not trigger a multi-gigabyte allocation).
+    /// Sanity bound on Output and Error frames, which come from
+    /// routers the coordinator started or named.
     const MAX_FRAME: u32 = 1 << 30;
+
+    /// Bound on a Hello: magic, version, topology and one config, whose
+    /// port and IP lists and spill path stay far below this.
+    const MAX_HELLO: u32 = 1 << 20;
+
+    /// Bound on a Claim: at most `BATCH_RECORDS` messages of 16 KiB,
+    /// the fixed fields plus two first-occurrence strings far longer
+    /// than any hostname or program name.
+    const MAX_CLAIM: u32 = BATCH_RECORDS as u32 * (16 << 10);
+
+    /// Smallest encoded claim message (a forget-ctx of table ids).
+    pub const MIN_MSG: usize = 17;
 
     /// Buffered frame writer: payload is built in a reusable scratch
     /// buffer, then shipped as `type + len + payload`.
@@ -192,15 +202,29 @@ pub(crate) mod wire {
             }
         }
         let ty = head[0];
-        let len = u32::from_le_bytes(head[1..5].try_into().expect("4 bytes"));
-        if len > MAX_FRAME {
+        let len = u32::from_le_bytes([head[1], head[2], head[3], head[4]]);
+        let bound = match ty {
+            FRAME_HELLO => MAX_HELLO,
+            FRAME_CLAIM => MAX_CLAIM,
+            FRAME_FINISH => 0,
+            _ => MAX_FRAME,
+        };
+        if len > bound {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("frame length {len} exceeds protocol bound"),
+                format!("frame type {ty} length {len} exceeds protocol bound"),
             ));
         }
-        buf.resize(len as usize, 0);
-        r.read_exact(buf)?;
+        // Grow with the bytes that actually arrive: a header alone must
+        // not buy its declared length in memory.
+        buf.clear();
+        r.take(u64::from(len)).read_to_end(buf)?;
+        if buf.len() < len as usize {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed mid-frame",
+            ));
+        }
         Ok(Some(ty))
     }
 
@@ -388,7 +412,6 @@ pub(crate) mod wire {
             max_seal_lag,
             channel_idle_horizon,
             lane_settle_depth,
-            orphan_parity,
         } = cfg;
         let ports: Vec<u16> = access.frontend_ports().collect();
         put_u32(buf, ports.len() as u32);
@@ -449,15 +472,14 @@ pub(crate) mod wire {
         put_opt_u64(buf, *max_seal_lag);
         put_opt_u64(buf, *channel_idle_horizon);
         put_opt_u64(buf, *lane_settle_depth);
-        put_u8(buf, *orphan_parity as u8);
     }
 
     pub fn get_config(d: &mut Dec<'_>) -> CorrelatorConfig {
         use crate::access::AccessPointSpec;
         use crate::activity::Nanos;
-        let n_ports = d.u32() as usize;
+        let n_ports = d.count(4);
         let ports: Vec<u16> = (0..n_ports).map(|_| d.u32() as u16).collect();
-        let n_ips = d.u32() as usize;
+        let n_ips = d.count(4);
         let ips: Vec<std::net::Ipv4Addr> = (0..n_ips)
             .map(|_| std::net::Ipv4Addr::from(d.u32()))
             .collect();
@@ -488,7 +510,6 @@ pub(crate) mod wire {
         cfg.max_seal_lag = get_opt_u64(d);
         cfg.channel_idle_horizon = get_opt_u64(d);
         cfg.lane_settle_depth = get_opt_u64(d);
-        cfg.orphan_parity = d.u8() != 0;
         cfg
     }
 
@@ -715,7 +736,8 @@ pub(crate) mod wire {
     }
 
     fn get_cags(d: &mut Dec<'_>) -> Vec<Cag> {
-        let n = d.u32() as usize;
+        // id, finished flag and vertex count.
+        let n = d.count(13);
         (0..n).map(|_| decode_cag_from(d)).collect()
     }
 
@@ -741,7 +763,8 @@ pub(crate) mod wire {
         let cags = get_cags(d);
         let unfinished = get_cags(d);
         let metrics = get_metrics(d);
-        let n = d.u32() as usize;
+        // Fixed fields of a plain activity with empty strings.
+        let n = d.count(58);
         let noise_samples = (0..n).map(|_| get_act_plain(d)).collect();
         (
             worker,
@@ -850,6 +873,7 @@ fn serve_inner<R: Read, W: Write>(
     r: R,
     fw: &mut wire::FrameWriter<io::BufWriter<W>>,
 ) -> Result<(), TraceError> {
+    use crate::spill::codec::Dec;
     let mut r = io::BufReader::new(r);
     let mut buf = Vec::new();
     let proto = |reason: String| TraceError::config(format!("router protocol: {reason}"));
@@ -861,7 +885,7 @@ fn serve_inner<R: Read, W: Write>(
     if ty != wire::FRAME_HELLO {
         return Err(proto(format!("expected hello, got frame type {ty}")));
     }
-    let mut d = crate::spill::codec::Dec::new(&buf);
+    let mut d = Dec::new(&buf);
     if d.u32() != wire::MAGIC {
         return Err(proto("bad magic (not a PTDC coordinator)".into()));
     }
@@ -872,27 +896,20 @@ fn serve_inner<R: Read, W: Write>(
             wire::VERSION
         )));
     }
-    let router_index = d.u32();
+    let _router_index = d.u32();
     let workers = d.u32() as usize;
+    let cfg = wire::get_config(&mut d);
+    d.finish()
+        .map_err(|e| proto(format!("decoding hello: {e}")))?;
     if workers == 0 || workers > MAX_SHARDS {
         return Err(proto(format!("worker count {workers} out of range")));
     }
-    let cfg = wire::get_config(&mut d);
     if let Some(dir) = &cfg.spill_dir {
         std::fs::create_dir_all(dir).map_err(|e| {
             TraceError::config(format!("cannot create spill dir {}: {e}", dir.display()))
         })?;
     }
-
-    let mut txs = Vec::with_capacity(workers);
-    let mut handles = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let sc = StreamingCorrelator::direct_for_activities(cfg.clone())?;
-        let (tx, rx): (SyncSender<Vec<ShardMsg>>, Receiver<Vec<ShardMsg>>) =
-            sync_channel(CHANNEL_BATCHES);
-        txs.push(tx);
-        handles.push(std::thread::spawn(move || run_worker(sc, rx)));
-    }
+    let mut block = WorkerThreads::spawn(&cfg, workers)?;
 
     // Claim stream until Finish.
     let mut dec = wire::StrDec::default();
@@ -902,41 +919,31 @@ fn serve_inner<R: Read, W: Write>(
             .ok_or_else(|| proto("coordinator hung up before finish".into()))?;
         match ty {
             wire::FRAME_CLAIM => {
-                let mut d = crate::spill::codec::Dec::new(&buf);
+                let mut d = Dec::new(&buf);
                 let worker = d.u32() as usize;
-                if worker >= txs.len() {
-                    return Err(proto(format!("claim for worker {worker} of {}", txs.len())));
+                let count = d.count(wire::MIN_MSG);
+                if worker >= workers || count > BATCH_RECORDS {
+                    return Err(proto(format!(
+                        "claim of {count} messages for worker {worker} of {workers}"
+                    )));
                 }
-                let count = d.u32() as usize;
-                let mut batch = Vec::with_capacity(count);
-                for _ in 0..count {
-                    batch.push(
-                        wire::get_msg(&mut d, &mut dec)
-                            .map_err(|e| proto(format!("decoding claim: {e}")))?,
-                    );
-                }
-                if !d.is_empty() {
-                    return Err(proto("trailing bytes in claim frame".into()));
-                }
-                txs[worker]
-                    .send(batch)
-                    .map_err(|_| TraceError::config("router worker terminated unexpectedly"))?;
+                let batch = (0..count)
+                    .map(|_| wire::get_msg(&mut d, &mut dec))
+                    .collect::<io::Result<Vec<_>>>()
+                    .and_then(|batch| d.finish().map(|()| batch))
+                    .map_err(|e| proto(format!("decoding claim: {e}")))?;
+                block.send(worker, batch)?;
             }
             wire::FRAME_FINISH => break,
             ty => return Err(proto(format!("unexpected frame type {ty} in claim stream"))),
         }
     }
 
-    // Drain: hang up worker channels, join, ship outputs in local
-    // worker order (the coordinator relies on it for the global shard
-    // order of the canonical merge).
-    drop(txs);
-    for (i, handle) in handles.into_iter().enumerate() {
-        let out = handle
-            .join()
-            .map_err(|_| TraceError::config("router worker panicked"))??;
+    // Drain, then ship outputs in local worker order (the coordinator
+    // relies on it for the global shard order of the canonical merge).
+    for (i, out) in block.join()?.iter().enumerate() {
         fw.send(wire::FRAME_OUTPUT, |buf| {
-            wire::put_output(buf, i as u32, &out);
+            wire::put_output(buf, i as u32, out)
         })
         .map_err(|e| proto(format!("writing output: {e}")))?;
     }
@@ -948,7 +955,6 @@ fn serve_inner<R: Read, W: Write>(
     if let Some(dir) = &cfg.spill_dir {
         crate::spill::sweep_process_spill_files(dir);
     }
-    let _ = router_index;
     Ok(())
 }
 
@@ -1045,96 +1051,56 @@ impl Peer {
     }
 }
 
-/// The distributed correlation coordinator — the engine behind
-/// [`Mode::Distributed`](crate::pipeline::Mode::Distributed); callers
-/// reach it through [`crate::pipeline::Pipeline`]. See the module docs
-/// for the architecture and the byte-identity contract.
-pub(crate) struct DistCorrelator {
-    core: ReaderCore,
+/// The peer backend of the cluster host (see [`crate::shard`]): router
+/// peers of `workers_per_router` shard workers each, fed Claim frames.
+/// Global shard `s` lives on router `s / workers_per_router` as local
+/// worker `s % workers_per_router` (contiguous blocks), so collecting
+/// outputs router by router yields global shard order.
+pub(crate) struct Peers {
     peers: Vec<Peer>,
     workers_per_router: usize,
-    /// Per-global-shard batch under construction.
-    pending: Vec<Vec<ShardMsg>>,
     /// Per-peer claim string tables.
     encs: Vec<wire::StrEnc>,
-    /// Per-router spill subdirectories this coordinator created (and
-    /// removes after the drain).
+    /// Per-router spill subdirectories created here (and removed after
+    /// the drain).
     spill_dirs: Vec<PathBuf>,
-    started: Instant,
-    finished: bool,
 }
 
-impl std::fmt::Debug for DistCorrelator {
+impl std::fmt::Debug for Peers {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DistCorrelator")
+        f.debug_struct("Peers")
             .field("routers", &self.peers.len())
             .field("workers_per_router", &self.workers_per_router)
-            .field("finished", &self.finished)
             .finish_non_exhaustive()
     }
 }
 
-impl DistCorrelator {
-    /// Connects `routers` router peers of `workers_per_router` workers
-    /// each over `transport` and sends their Hello frames.
+impl Peers {
+    /// Connects `routers` peers over `transport` and sends their Hello
+    /// frames carrying the per-worker config `wc`.
     ///
     /// # Errors
     ///
-    /// Returns a configuration error for an invalid config or topology
-    /// and a [`TraceError::Router`] when a peer cannot be reached.
-    pub fn new(
-        config: CorrelatorConfig,
+    /// Returns a [`TraceError::Router`] when a peer cannot be reached.
+    pub(crate) fn connect(
+        wc: &CorrelatorConfig,
         routers: usize,
         workers_per_router: usize,
         transport: &RouterTransport,
     ) -> Result<Self, TraceError> {
-        config.validate()?;
-        let wpr = workers_per_router.max(1);
-        if routers == 0 {
-            return Err(TraceError::config(
-                "distributed mode needs at least 1 router",
-            ));
-        }
-        if routers > MAX_ROUTERS {
-            return Err(TraceError::config(format!(
-                "router count {routers} exceeds the maximum of {MAX_ROUTERS}"
-            )));
-        }
-        let total = routers * wpr;
-        if total > MAX_SHARDS {
-            return Err(TraceError::config(format!(
-                "{routers} routers x {wpr} workers = {total} shards exceeds the maximum of {MAX_SHARDS}"
-            )));
-        }
-        if let RouterTransport::Connect { addrs } = transport {
-            if addrs.len() != routers {
-                return Err(TraceError::config(format!(
-                    "{} router addresses for {routers} routers",
-                    addrs.len()
-                )));
-            }
-        }
-
-        // The one canonical reader over the global shard space: global
-        // shard s lives on router s / wpr as local worker s % wpr
-        // (contiguous blocks), so output collection order IS global
-        // shard order.
-        let core = ReaderCore::new(&config, total as u32);
-        // Workers get the same budget split as Mode::Sharded(total) —
-        // a precondition of byte-identical spill/shed behavior.
-        let wc = worker_config(&config, total);
-
+        let mut this = Peers {
+            peers: Vec::with_capacity(routers),
+            workers_per_router,
+            encs: (0..routers).map(|_| wire::StrEnc::default()).collect(),
+            spill_dirs: Vec::new(),
+        };
         // Per-router spill namespace: router i pages into its own
         // subdirectory (named with the coordinator pid, so concurrent
-        // clusters sharing --spill-dir cannot collide), created here
-        // and removed after the drain.
+        // clusters sharing --spill-dir cannot collide).
         let spill_base = wc
             .memory_budget
             .is_some()
             .then(|| wc.spill_dir.clone().unwrap_or_else(std::env::temp_dir));
-        let mut spill_dirs = Vec::new();
-
-        let mut peers = Vec::with_capacity(routers);
         for i in 0..routers {
             let mut rc = wc.clone();
             if let Some(base) = &spill_base {
@@ -1145,7 +1111,7 @@ impl DistCorrelator {
                         dir.display()
                     ))
                 })?;
-                spill_dirs.push(dir.clone());
+                this.spill_dirs.push(dir.clone());
                 rc.spill_dir = Some(dir);
             }
             let mut peer = connect_peer(transport, i)?;
@@ -1155,46 +1121,17 @@ impl DistCorrelator {
                     put_u32(buf, wire::MAGIC);
                     put_u32(buf, wire::VERSION);
                     put_u32(buf, i as u32);
-                    put_u32(buf, wpr as u32);
+                    put_u32(buf, workers_per_router as u32);
                     wire::put_config(buf, &rc);
                 })
                 .map_err(|e| peer.diagnose(i, &e))?;
-            peers.push(peer);
+            this.peers.push(peer);
         }
-
-        Ok(DistCorrelator {
-            core,
-            peers,
-            workers_per_router: wpr,
-            pending: vec![Vec::with_capacity(BATCH_RECORDS); total],
-            encs: (0..routers).map(|_| wire::StrEnc::default()).collect(),
-            spill_dirs,
-            started: Instant::now(),
-            finished: false,
-        })
+        Ok(this)
     }
 
-    fn guard(&self) -> Result<(), TraceError> {
-        if self.finished {
-            Err(TraceError::Finished)
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Approximate resident bytes of the reader-side routing state and
-    /// undelivered claim batches (worker state is budgeted peer-side).
-    pub fn approx_router_bytes(&self) -> usize {
-        self.core.approx_bytes()
-            + self
-                .pending
-                .iter()
-                .map(|b| b.len() * std::mem::size_of::<ShardMsg>())
-                .sum::<usize>()
-    }
-
-    fn send_batch(&mut self, shard: usize) -> Result<(), TraceError> {
-        let batch = std::mem::replace(&mut self.pending[shard], Vec::with_capacity(BATCH_RECORDS));
+    /// Ships one global shard's batch as a Claim frame.
+    pub(crate) fn send(&mut self, shard: usize, batch: &[ShardMsg]) -> Result<(), TraceError> {
         let router = shard / self.workers_per_router;
         let worker = (shard % self.workers_per_router) as u32;
         let enc = &mut self.encs[router];
@@ -1204,126 +1141,41 @@ impl DistCorrelator {
                 use crate::spill::codec::put_u32;
                 put_u32(buf, worker);
                 put_u32(buf, batch.len() as u32);
-                for msg in &batch {
+                for msg in batch {
                     wire::put_msg(buf, enc, msg);
                 }
             })
             .map_err(|e| peer.diagnose(router, &e))
     }
 
-    fn pump_router(&mut self, final_input: bool) -> Result<(), TraceError> {
-        // The borrow checker cannot split `self` between the dispatch
-        // closure and `core`, so drain routable shards into a local
-        // ready-list first, then ship full batches.
-        let DistCorrelator { core, pending, .. } = self;
-        let mut full: Vec<usize> = Vec::new();
-        let mut dispatch = |m: ShardMsg, shard: u32| -> Result<(), TraceError> {
-            let shard = shard as usize;
-            pending[shard].push(m);
-            if pending[shard].len() >= BATCH_RECORDS && !full.contains(&shard) {
-                full.push(shard);
-            }
-            Ok(())
-        };
-        core.pump(final_input, &mut dispatch)?;
-        // Ship in exact BATCH_RECORDS chunks — the same batch
-        // boundaries the in-process sharded dispatch produces.
-        for shard in full {
-            while self.pending[shard].len() >= BATCH_RECORDS {
-                let rest = self.pending[shard].split_off(BATCH_RECORDS);
-                self.send_batch(shard)?;
-                self.pending[shard] = rest;
-            }
-        }
-        Ok(())
-    }
-
-    /// Routes one owned raw record into the cluster; see
-    /// [`crate::shard::ShardedCorrelator::push`] for ordering rules.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Finished`] after [`Self::finish`], or a
-    /// [`TraceError::Router`] when a peer died.
-    pub fn push(&mut self, rec: RawRecord) -> Result<(), TraceError> {
-        self.guard()?;
-        self.core.ingest(rec);
-        self.pump_router(false)
-    }
-
-    /// Parses and routes one TCP_TRACE log line (zero-copy ingest).
-    ///
-    /// # Errors
-    ///
-    /// Returns a parse error for a malformed line, and
-    /// [`TraceError::Finished`] after [`Self::finish`].
-    pub fn push_line(&mut self, line: &str) -> Result<(), TraceError> {
-        self.guard()?;
-        let r = RawRecordRef::parse_line(line)?;
-        self.core.stage_ref(&r);
-        self.pump_router(false)
-    }
-
-    /// Zero-copy staging without routing (parallel ingest front-end).
-    pub(crate) fn stage_ref(&mut self, r: &RawRecordRef<'_>) {
-        self.core.stage_ref(r);
-    }
-
-    /// Flushes all partial claim batches to the routers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Finished`] after [`Self::finish`].
-    pub fn flush(&mut self) -> Result<(), TraceError> {
-        self.guard()?;
-        for shard in 0..self.pending.len() {
-            if !self.pending[shard].is_empty() {
-                self.send_batch(shard)?;
-            }
-        }
-        for i in 0..self.peers.len() {
-            let peer = &mut self.peers[i];
+    /// Flushes every peer's buffered frames.
+    pub(crate) fn flush(&mut self) -> Result<(), TraceError> {
+        for (i, peer) in self.peers.iter_mut().enumerate() {
             peer.writer.flush().map_err(|e| peer.diagnose(i, &e))?;
         }
         Ok(())
     }
 
-    /// Closes the cluster: drains the router, ships remaining claims,
-    /// sends `Finish` to every peer, collects all worker outputs in
-    /// global shard order and performs the canonical merge. The
-    /// coordinator is spent afterwards.
+    /// Sends `Finish` to every peer, collects all worker outputs in
+    /// global shard order, reaps the peers and removes the per-router
+    /// spill directories.
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::Finished`] when called twice and
-    /// [`TraceError::Router`] when a peer failed.
-    pub fn finish(&mut self) -> Result<CorrelationOutput, TraceError> {
-        self.guard()?;
-        self.pump_router(true)?;
-        for shard in 0..self.pending.len() {
-            if !self.pending[shard].is_empty() {
-                self.send_batch(shard)?;
-            }
-        }
-        self.finished = true;
-        for i in 0..self.peers.len() {
-            let peer = &mut self.peers[i];
+    /// Returns [`TraceError::Router`] when a peer failed.
+    pub(crate) fn finish(&mut self) -> Result<Vec<CorrelationOutput>, TraceError> {
+        for (i, peer) in self.peers.iter_mut().enumerate() {
             let sent = peer
                 .writer
                 .send(wire::FRAME_FINISH, |_| {})
                 .and_then(|()| peer.writer.flush());
             sent.map_err(|e| peer.diagnose(i, &e))?;
         }
-        // Collect outputs peer by peer, in router order; within a
-        // peer, outputs arrive in local worker order — together that
-        // is global shard order, which the canonical merge requires.
         let mut outputs = Vec::with_capacity(self.peers.len() * self.workers_per_router);
         let mut buf = Vec::new();
-        for i in 0..self.peers.len() {
+        for (i, peer) in self.peers.iter_mut().enumerate() {
             for expected in 0..self.workers_per_router {
-                let peer = &mut self.peers[i];
-                let frame = wire::read_frame(&mut peer.reader, &mut buf);
-                let ty = match frame {
+                let ty = match wire::read_frame(&mut peer.reader, &mut buf) {
                     Ok(Some(ty)) => ty,
                     Ok(None) => {
                         let e = io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed early");
@@ -1331,11 +1183,11 @@ impl DistCorrelator {
                     }
                     Err(e) => return Err(peer.diagnose(i, &e)),
                 };
+                let mut d = crate::spill::codec::Dec::new(&buf);
                 match ty {
                     wire::FRAME_OUTPUT => {
-                        let mut d = crate::spill::codec::Dec::new(&buf);
                         let (worker, out) = wire::get_output(&mut d);
-                        if worker as usize != expected || !d.is_empty() {
+                        if worker as usize != expected || d.finish().is_err() {
                             return Err(TraceError::router(
                                 i,
                                 format!("malformed output frame (worker {worker})"),
@@ -1344,10 +1196,8 @@ impl DistCorrelator {
                         outputs.push(out);
                     }
                     wire::FRAME_ERROR => {
-                        let mut d = crate::spill::codec::Dec::new(&buf);
-                        let msg = d.str().to_owned();
-                        self.peers[i].failed = true;
-                        return Err(TraceError::router(i, msg));
+                        peer.failed = true;
+                        return Err(TraceError::router(i, d.str()));
                     }
                     ty => {
                         return Err(TraceError::router(
@@ -1362,32 +1212,33 @@ impl DistCorrelator {
         // nonzero exit after successful outputs still fails the run
         // (its spill cleanup is unverified).
         for (i, peer) in self.peers.iter_mut().enumerate() {
-            if let PeerKind::Child { child, stderr } = &mut peer.kind {
-                peer.failed = true; // reaped here either way
-                match child.wait() {
-                    Ok(s) if s.success() => {}
-                    Ok(s) => {
-                        let tail = stderr.get();
-                        return Err(TraceError::router(
-                            i,
-                            format!("router process exited with {s}; stderr: {}", tail.trim()),
-                        ));
-                    }
-                    Err(e) => {
-                        return Err(TraceError::router(i, format!("cannot reap router: {e}")))
+            match &mut peer.kind {
+                PeerKind::Child { child, stderr } => {
+                    peer.failed = true; // reaped here either way
+                    match child.wait() {
+                        Ok(s) if s.success() => {}
+                        Ok(s) => {
+                            let tail = stderr.get();
+                            return Err(TraceError::router(
+                                i,
+                                format!("router process exited with {s}; stderr: {}", tail.trim()),
+                            ));
+                        }
+                        Err(e) => {
+                            return Err(TraceError::router(i, format!("cannot reap router: {e}")))
+                        }
                     }
                 }
-            }
-            if let PeerKind::Thread(handle) = &mut peer.kind {
-                match handle.take().map(|h| h.join()) {
+                PeerKind::Thread(handle) => match handle.take().map(|h| h.join()) {
                     Some(Ok(Ok(()))) | None => {}
                     Some(Ok(Err(e))) => return Err(TraceError::router(i, e.to_string())),
                     Some(Err(_)) => return Err(TraceError::router(i, "router thread panicked")),
-                }
+                },
+                PeerKind::Tcp { .. } => {}
             }
         }
         self.cleanup_spill_dirs();
-        Ok(self.core.merge(outputs, self.started))
+        Ok(outputs)
     }
 
     fn cleanup_spill_dirs(&mut self) {
@@ -1397,7 +1248,7 @@ impl DistCorrelator {
     }
 }
 
-impl Drop for DistCorrelator {
+impl Drop for Peers {
     fn drop(&mut self) {
         // Hang up, kill and reap abandoned peers so nothing blocks or
         // leaks; then remove the per-router spill namespaces.
@@ -1519,53 +1370,13 @@ fn spawn_child_peer(exe: &std::path::Path, index: usize) -> Result<Peer, TraceEr
     })
 }
 
-/// Batch convenience: correlates a complete record set through the
-/// distributed pipeline.
-///
-/// # Errors
-///
-/// Returns a configuration error for an invalid config/topology and
-/// [`TraceError::Router`] when a peer failed.
-pub(crate) fn correlate(
-    config: CorrelatorConfig,
-    routers: usize,
-    workers_per_router: usize,
-    transport: &RouterTransport,
-    records: Vec<RawRecord>,
-) -> Result<CorrelationOutput, TraceError> {
-    let mut dc = DistCorrelator::new(config, routers, workers_per_router, transport)?;
-    for rec in records {
-        dc.core.ingest(rec);
-    }
-    dc.finish()
-}
-
-/// Batch convenience over a TCP_TRACE text log (zero-copy ingest).
-///
-/// # Errors
-///
-/// Returns the first parse error, a configuration error, or
-/// [`TraceError::Router`] when a peer failed.
-pub(crate) fn correlate_text(
-    config: CorrelatorConfig,
-    routers: usize,
-    workers_per_router: usize,
-    transport: &RouterTransport,
-    text: &str,
-) -> Result<CorrelationOutput, TraceError> {
-    let mut dc = DistCorrelator::new(config, routers, workers_per_router, transport)?;
-    for r in parse_log_iter(text) {
-        dc.core.stage_ref(&r?);
-    }
-    dc.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::access::AccessPointSpec;
     use crate::activity::{Activity, ActivityType, Channel, ContextId, LocalTime, Nanos};
-    use crate::shard::ShardedCorrelator;
+    use crate::pipeline::{Mode, Pipeline, PipelineConfig, Source};
+    use crate::shard::Cluster;
 
     fn access() -> AccessPointSpec {
         AccessPointSpec::new(
@@ -1623,6 +1434,33 @@ mod tests {
         log
     }
 
+    fn pipeline(cfg: CorrelatorConfig, mode: Mode, transport: RouterTransport) -> PipelineConfig {
+        PipelineConfig::from(cfg)
+            .with_mode(mode)
+            .with_router_transport(transport)
+    }
+
+    fn run(
+        cfg: CorrelatorConfig,
+        mode: Mode,
+        transport: RouterTransport,
+        text: &str,
+    ) -> Result<CorrelationOutput, TraceError> {
+        Pipeline::new(pipeline(cfg, mode, transport))?.run(Source::text(text))
+    }
+
+    fn topo(routers: usize, workers_per_router: usize) -> Mode {
+        Mode::Distributed {
+            routers,
+            workers_per_router,
+        }
+    }
+
+    /// A one-router cluster host over `transport`.
+    fn cluster(cfg: CorrelatorConfig, transport: RouterTransport) -> Result<Cluster, TraceError> {
+        Cluster::new(&pipeline(cfg, topo(1, 1), transport))
+    }
+
     fn render(out: &CorrelationOutput) -> String {
         // Wall time is the one legitimately nondeterministic metric.
         let mut m = out.metrics.clone();
@@ -1632,7 +1470,7 @@ mod tests {
 
     fn sharded_reference(shards: usize, text: &str) -> String {
         let cfg = CorrelatorConfig::new(access());
-        render(&ShardedCorrelator::correlate_text(cfg, shards, text).unwrap())
+        render(&run(cfg, Mode::Sharded(shards), RouterTransport::InProcess, text).unwrap())
     }
 
     #[test]
@@ -1640,7 +1478,7 @@ mod tests {
         let log = cluster_log(6);
         for (routers, wpr) in [(1, 1), (1, 4), (2, 2), (4, 1), (3, 2)] {
             let cfg = CorrelatorConfig::new(access());
-            let out = correlate_text(cfg, routers, wpr, &RouterTransport::InProcess, &log).unwrap();
+            let out = run(cfg, topo(routers, wpr), RouterTransport::InProcess, &log).unwrap();
             assert_eq!(
                 render(&out),
                 sharded_reference(routers * wpr, &log),
@@ -1664,7 +1502,7 @@ mod tests {
             }));
         }
         let cfg = CorrelatorConfig::new(access());
-        let out = correlate_text(cfg, 2, 2, &RouterTransport::Connect { addrs }, &log).unwrap();
+        let out = run(cfg, topo(2, 2), RouterTransport::Connect { addrs }, &log).unwrap();
         assert_eq!(render(&out), sharded_reference(4, &log));
         for h in handles {
             h.join().unwrap().unwrap();
@@ -1679,7 +1517,7 @@ mod tests {
             l.local_addr().unwrap().to_string()
         };
         let cfg = CorrelatorConfig::new(access());
-        let err = DistCorrelator::new(cfg, 1, 1, &RouterTransport::Connect { addrs: vec![addr] })
+        let err = cluster(cfg, RouterTransport::Connect { addrs: vec![addr] })
             .expect_err("connection must fail");
         match err {
             TraceError::Router { router: 0, .. } => {}
@@ -1697,7 +1535,7 @@ mod tests {
         let transport = RouterTransport::Spawn {
             exe: PathBuf::from("/bin/false"),
         };
-        let err = match DistCorrelator::new(cfg, 1, 1, &transport) {
+        let err = match cluster(cfg, transport) {
             Err(e) => e,
             Ok(mut dc) => {
                 let mut last = dc.flush().err();
@@ -1724,7 +1562,7 @@ mod tests {
         let transport = RouterTransport::Spawn {
             exe: PathBuf::from("/nonexistent/pt-router-binary"),
         };
-        let err = DistCorrelator::new(cfg, 1, 1, &transport).expect_err("spawn must fail");
+        let err = cluster(cfg, transport).expect_err("spawn must fail");
         assert!(
             matches!(err, TraceError::Router { router: 0, .. }),
             "{err:?}"
@@ -1744,7 +1582,7 @@ mod tests {
         let mut cfg = CorrelatorConfig::new(access());
         cfg.memory_budget = Some(1); // force constant spilling
         cfg.spill_dir = Some(base.clone());
-        let out = correlate_text(cfg, 2, 2, &RouterTransport::InProcess, &log).unwrap();
+        let out = run(cfg, topo(2, 2), RouterTransport::InProcess, &log).unwrap();
         assert_eq!(out.cags.len(), 6);
 
         let leftovers: Vec<String> = std::fs::read_dir(&base)
@@ -1775,7 +1613,7 @@ mod tests {
         }
         let unbounded = {
             let cfg = CorrelatorConfig::new(access());
-            correlate_text(cfg, 2, 2, &RouterTransport::InProcess, &log).unwrap()
+            run(cfg, topo(2, 2), RouterTransport::InProcess, &log).unwrap()
         };
         let base =
             std::env::temp_dir().join(format!("pt-dist-test-spill-eq-{}", std::process::id()));
@@ -1783,7 +1621,7 @@ mod tests {
         cfg.memory_budget = Some(32 * 1024);
         cfg.mem_sample_every = 8;
         cfg.spill_dir = Some(base.clone());
-        let spilled = correlate_text(cfg, 2, 2, &RouterTransport::InProcess, &log).unwrap();
+        let spilled = run(cfg, topo(2, 2), RouterTransport::InProcess, &log).unwrap();
         assert_eq!(
             format!("{:?}|{:?}", unbounded.cags, unbounded.unfinished),
             format!("{:?}|{:?}", spilled.cags, spilled.unfinished)
@@ -1830,7 +1668,7 @@ mod tests {
             let mut d = crate::spill::codec::Dec::new(bytes);
             let got = wire::get_msg(&mut d, &mut dec).unwrap();
             assert_eq!(format!("{got:?}"), format!("{want:?}"));
-            assert!(d.is_empty());
+            d.finish().unwrap();
         }
         let mut d = crate::spill::codec::Dec::new(&forget);
         match wire::get_msg(&mut d, &mut dec).unwrap() {
@@ -1861,13 +1699,12 @@ mod tests {
         cfg.max_seal_lag = Some(33);
         cfg.channel_idle_horizon = Some(44);
         cfg.lane_settle_depth = Some(55);
-        cfg.orphan_parity = true;
 
         let mut buf = Vec::new();
         wire::put_config(&mut buf, &cfg);
         let mut d = crate::spill::codec::Dec::new(&buf);
         let back = wire::get_config(&mut d);
-        assert!(d.is_empty());
+        d.finish().unwrap();
         // Filters are deliberately not shipped (workers see
         // pre-filtered activities); everything else must survive.
         let strip = |c: &CorrelatorConfig| {
@@ -1882,15 +1719,84 @@ mod tests {
     fn output_frame_roundtrips() {
         let log = cluster_log(3);
         let cfg = CorrelatorConfig::new(access());
-        let out = ShardedCorrelator::correlate_text(cfg, 2, &log).unwrap();
+        let out = run(cfg, Mode::Sharded(2), RouterTransport::InProcess, &log).unwrap();
         let mut buf = Vec::new();
         wire::put_output(&mut buf, 5, &out);
         let mut d = crate::spill::codec::Dec::new(&buf);
         let (worker, back) = wire::get_output(&mut d);
-        assert!(d.is_empty());
+        d.finish().unwrap();
         assert_eq!(worker, 5);
         assert_eq!(render(&out), render(&back));
         assert_eq!(out.metrics.wall, back.metrics.wall);
+    }
+
+    fn frame(ty: u8, build: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = Vec::new();
+        wire::FrameWriter::new(&mut out).send(ty, build).unwrap();
+        out
+    }
+
+    fn hello(version: u32) -> Vec<u8> {
+        use crate::spill::codec::put_u32;
+        frame(wire::FRAME_HELLO, |buf| {
+            for v in [wire::MAGIC, version, 0, 1] {
+                put_u32(buf, v);
+            }
+            wire::put_config(buf, &CorrelatorConfig::new(access()));
+        })
+    }
+
+    /// Serves `bytes` as one coordinator connection over the in-memory
+    /// pipe.
+    fn serve_bytes(bytes: &[u8]) -> Result<(), TraceError> {
+        let (mut w, r) = pipe();
+        w.write_all(bytes).unwrap();
+        drop(w);
+        serve_router(r, io::sink())
+    }
+
+    #[test]
+    fn hostile_frames_fail_the_session_without_panicking() {
+        use crate::spill::codec::{put_u32, put_u64, put_u8};
+        // A Hello with a 3-byte payload.
+        let err = serve_bytes(&[wire::FRAME_HELLO, 3, 0, 0, 0, b'a', b'b', b'c']).unwrap_err();
+        assert!(err.to_string().contains("bad magic"), "{err}");
+        let err = serve_bytes(&hello(1)).unwrap_err();
+        assert!(err.to_string().contains("protocol version 1"), "{err}");
+        let finish = frame(wire::FRAME_FINISH, |_| {});
+        let mut valid = hello(wire::VERSION);
+        valid.extend_from_slice(&finish);
+        serve_bytes(&valid).unwrap();
+
+        // A Claim declaring one message but carrying five bytes of it.
+        let truncated = frame(wire::FRAME_CLAIM, |buf| {
+            put_u32(buf, 0);
+            put_u32(buf, 1);
+            buf.extend_from_slice(&[0, 1, 2, 3, 4]);
+        });
+        // A Claim whose first hostname is not UTF-8.
+        let non_utf8 = frame(wire::FRAME_CLAIM, |buf| {
+            put_u32(buf, 0);
+            put_u32(buf, 1);
+            put_u8(buf, 0); // act
+            put_u8(buf, 1); // send
+            put_u64(buf, 1000);
+            put_u32(buf, u32::MAX);
+            put_u32(buf, 2);
+            buf.extend_from_slice(&[0xff, 0xfe]);
+            put_u32(buf, u32::MAX);
+            put_u32(buf, 1);
+            buf.push(b'p');
+            // pid, tid, channel, size, tag, no seq.
+            buf.extend_from_slice(&[0; 8 + 16 + 16 + 1]);
+        });
+        for claim in [truncated, non_utf8] {
+            let mut bytes = hello(wire::VERSION);
+            bytes.extend_from_slice(&claim);
+            bytes.extend_from_slice(&finish);
+            let err = serve_bytes(&bytes).unwrap_err();
+            assert!(err.to_string().contains("decoding claim"), "{err}");
+        }
     }
 
     #[test]
@@ -1915,6 +1821,18 @@ mod tests {
             .unwrap();
         assert_eq!(ty, wire::FRAME_CLAIM);
         assert_eq!(buf, [1, 2, 3, 4]);
+        // A header declaring 1 GiB followed by EOF must not buy 1 GiB.
+        let mut head = vec![wire::FRAME_OUTPUT];
+        head.extend_from_slice(&(1u32 << 30).to_le_bytes());
+        let err = wire::read_frame(&mut io::Cursor::new(&head[..]), &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(buf.capacity() < 1 << 20, "capacity {}", buf.capacity());
+        // Hello and Claim lengths are bounded by what those frames hold.
+        for ty in [wire::FRAME_HELLO, wire::FRAME_CLAIM] {
+            head[0] = ty;
+            let err = wire::read_frame(&mut io::Cursor::new(&head[..]), &mut buf).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "type {ty}");
+        }
     }
 
     #[test]
@@ -1926,7 +1844,7 @@ mod tests {
         // here we additionally pin the claim counts.
         let log = cluster_log(6);
         let cfg = CorrelatorConfig::new(access());
-        let out = correlate_text(cfg, 3, 1, &RouterTransport::InProcess, &log).unwrap();
+        let out = run(cfg, topo(3, 1), RouterTransport::InProcess, &log).unwrap();
         assert_eq!(out.cags.len(), 6);
         for cag in &out.cags {
             cag.validate().expect("valid CAG");

@@ -602,8 +602,8 @@ impl Engine {
             .expect("indexed chunk is live");
         let bytes = sp.file.get(ext);
         let mut d = codec::Dec::new(&bytes);
-        let n = d.u32();
-        for _ in 0..n {
+        // id, type, channel and size: 33 bytes per orphan.
+        for _ in 0..d.count(33) {
             let oid = d.u64();
             let ty = spill::activity_type_from_code(d.u8());
             let channel = codec::get_channel(&mut d);
@@ -611,6 +611,7 @@ impl Engine {
             sp.orphan_index.remove(&oid);
             self.orphans.insert(oid, Orphan { ty, channel, size });
         }
+        assert!(d.finish().is_ok(), "malformed orphan spill chunk");
         self.counters.spill_faults += 1;
     }
 

@@ -28,11 +28,10 @@ pub struct CorrelatorMetrics {
     /// started above the channel's covered high-water mark — evidence
     /// of records the sniffer missed.
     pub seq_gaps: u64,
-    /// Sharded mode only: orphan-chain records (noise chatter the batch
+    /// Cluster modes only: orphan-chain records (noise chatter the batch
     /// engine would absorb into never-emitted orphan chains) dropped
     /// reader-side instead of being shipped to a worker. Zero in the
-    /// single-instance modes and under
-    /// [`crate::correlator::CorrelatorConfig::orphan_parity`].
+    /// single-instance modes.
     pub orphan_dropped: u64,
     /// Ranker counters (Rules 1/2, swaps, boosts, `is_noise` discards).
     pub ranker: RankerCounters,

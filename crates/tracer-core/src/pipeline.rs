@@ -15,7 +15,8 @@
 //! ```text
 //!            ┌───────────────── Pipeline ─────────────────┐
 //! Source ──→ │ ingest (range dedup, classify, filter) ──→ │ ──→ CorrelationOutput
-//!            │   mode: Batch | Streaming | Sharded(n)     │
+//!            │ mode: Batch | Streaming | Sharded(n)       │
+//!            │       | Distributed { routers, workers }   │
 //!            └────────────────────────────────────────────┘
 //! ```
 //!
@@ -30,6 +31,13 @@
 //! * [`Mode::Sharded`]`(n)` — the reader-side session router feeding
 //!   `n` worker threads, merged into canonical root order; output is
 //!   byte-identical for every shard count.
+//! * [`Mode::Distributed`] — the same cluster host with its workers
+//!   behind router peers (see [`crate::dist`]); output is
+//!   byte-identical to `Sharded` with the same total shard count.
+//!
+//! [`Pipeline::run`] loads its [`Source`] once: the single-instance
+//! modes take owned records, the two cluster modes stage borrowed
+//! [`RawRecordRef`]s into the host.
 //!
 //! The old three entry-point types went through one release as
 //! deprecated shims and have been removed; the engines they named now
@@ -53,6 +61,7 @@
 //! # }
 //! ```
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::access::AccessPointSpec;
@@ -62,11 +71,11 @@ use crate::correlator::{
     CorrelationOutput, Correlator, CorrelatorConfig, EngineOptions, RankerOptions,
     StreamingCorrelator, WindowPolicy,
 };
-use crate::dist::{DistCorrelator, RouterTransport};
+use crate::dist::{RouterTransport, MAX_ROUTERS};
 use crate::error::TraceError;
 use crate::filter::FilterSet;
-use crate::raw::{parse_log, RawRecord};
-use crate::shard::ShardedCorrelator;
+use crate::raw::{parse_log, parse_log_iter, RawRecord, RawRecordRef};
+use crate::shard::{Cluster, AUTO_SHARD_CAP, MAX_SHARDS};
 
 /// How the pipeline executes a correlation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -150,14 +159,6 @@ impl PipelineConfig {
         self
     }
 
-    /// Ships sharded orphan-chain records to the workers instead of
-    /// dropping them reader-side (see
-    /// [`CorrelatorConfig::with_orphan_parity`]).
-    pub fn with_orphan_parity(mut self) -> Self {
-        self.correlator = self.correlator.with_orphan_parity();
-        self
-    }
-
     /// Sets the sliding time window.
     pub fn with_window(mut self, window: Nanos) -> Self {
         self.correlator = self.correlator.with_window(window);
@@ -238,58 +239,55 @@ impl PipelineConfig {
         self
     }
 
-    /// Validates the configuration.
+    /// Validates the configuration — the one place the shard and
+    /// router topology is checked.
     ///
     /// # Errors
     ///
     /// Returns [`TraceError::Config`] when the window is zero, no access
-    /// point is configured, or a sharded shard count is out of range.
+    /// point is configured, or the shard or router topology is out of
+    /// range.
     pub fn validate(&self) -> Result<(), TraceError> {
         self.correlator.validate()?;
-        match self.mode {
-            Mode::Sharded(n) => {
-                if n > crate::shard::MAX_SHARDS {
+        if let Mode::Distributed { routers, .. } = self.mode {
+            if routers == 0 || routers > MAX_ROUTERS {
+                return Err(TraceError::config(format!(
+                    "distributed mode needs 1 to {MAX_ROUTERS} routers, not {routers}"
+                )));
+            }
+            if let RouterTransport::Connect { addrs } = &self.router_transport {
+                if addrs.len() != routers {
                     return Err(TraceError::config(format!(
-                        "shard count {n} exceeds the maximum of {}",
-                        crate::shard::MAX_SHARDS
+                        "{} router addresses for {routers} routers",
+                        addrs.len()
                     )));
                 }
             }
+        }
+        let shards = self.shards();
+        if shards > MAX_SHARDS {
+            return Err(TraceError::config(format!(
+                "shard count {shards} exceeds the maximum of {MAX_SHARDS}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// The shard workers the mode runs: `Sharded(0)` is one per core
+    /// (capped), a distributed cluster counts every router's block, and
+    /// the single-instance modes count one.
+    pub(crate) fn shards(&self) -> usize {
+        match self.mode {
+            Mode::Sharded(0) => std::thread::available_parallelism()
+                .map_or(1, |p| p.get())
+                .min(AUTO_SHARD_CAP),
+            Mode::Sharded(n) => n,
             Mode::Distributed {
                 routers,
                 workers_per_router,
-            } => {
-                if routers == 0 {
-                    return Err(TraceError::config(
-                        "distributed mode needs at least 1 router",
-                    ));
-                }
-                if routers > crate::dist::MAX_ROUTERS {
-                    return Err(TraceError::config(format!(
-                        "router count {routers} exceeds the maximum of {}",
-                        crate::dist::MAX_ROUTERS
-                    )));
-                }
-                let total = routers * workers_per_router.max(1);
-                if total > crate::shard::MAX_SHARDS {
-                    return Err(TraceError::config(format!(
-                        "{routers} routers x {} workers = {total} shards exceeds the maximum of {}",
-                        workers_per_router.max(1),
-                        crate::shard::MAX_SHARDS
-                    )));
-                }
-                if let RouterTransport::Connect { addrs } = &self.router_transport {
-                    if addrs.len() != routers {
-                        return Err(TraceError::config(format!(
-                            "{} router addresses for {routers} routers",
-                            addrs.len()
-                        )));
-                    }
-                }
-            }
-            Mode::Batch | Mode::Streaming => {}
+            } => routers.saturating_mul(workers_per_router.max(1)),
+            Mode::Batch | Mode::Streaming => 1,
         }
-        Ok(())
     }
 }
 
@@ -384,6 +382,73 @@ impl<'a> From<&'a str> for Source<'a> {
     }
 }
 
+/// A [`Source`] loaded into memory: path sources are read whole.
+enum Input<'a> {
+    Records(Vec<RawRecord>),
+    Text(Cow<'a, str>),
+    Binary(Vec<u8>),
+}
+
+impl<'a> Input<'a> {
+    fn load(source: Source<'a>) -> Result<Self, TraceError> {
+        Ok(match source {
+            Source::Records(r) => Input::Records(r),
+            Source::Text(t) => Input::Text(Cow::Borrowed(t)),
+            Source::Path(p) => Input::Text(Cow::Owned(crate::ingest::read_log_file(&p)?)),
+            Source::BinaryPath(p) => Input::Binary(crate::binfmt::read_binary_file(&p)?),
+        })
+    }
+
+    /// Owned records for the single-instance modes, parsed or decoded
+    /// by `threads` workers.
+    fn records(self, threads: usize) -> Result<Vec<RawRecord>, TraceError> {
+        match self {
+            Input::Records(r) => Ok(r),
+            Input::Text(t) if threads == 1 => parse_log(&t),
+            Input::Text(t) => crate::ingest::parse_log_parallel(&t, threads),
+            Input::Binary(b) if threads == 1 => crate::binfmt::decode_records(&b),
+            Input::Binary(b) => {
+                let mut interner = crate::intern::Interner::new();
+                let refs = crate::binfmt::decode_refs_parallel(&b, threads)?;
+                Ok(refs
+                    .iter()
+                    .map(|r| r.to_owned_interned(&mut interner))
+                    .collect())
+            }
+        }
+    }
+
+    /// Hands every record, borrowed, to `stage`. With one thread, text
+    /// and PTBIN stream through without materializing the record set;
+    /// the parallel scanners produce the same sequence.
+    fn for_each_ref(
+        &self,
+        threads: usize,
+        mut stage: impl FnMut(&RawRecordRef<'_>),
+    ) -> Result<(), TraceError> {
+        match self {
+            Input::Records(r) => r.iter().for_each(|rec| stage(&rec.as_record_ref())),
+            Input::Text(t) if threads == 1 => {
+                for r in parse_log_iter(t) {
+                    stage(&r?);
+                }
+            }
+            Input::Text(t) => crate::ingest::parse_refs_parallel(t, threads)?
+                .iter()
+                .for_each(stage),
+            Input::Binary(b) if threads == 1 => {
+                for r in crate::binfmt::Reader::new(b)?.iter() {
+                    stage(&r?);
+                }
+            }
+            Input::Binary(b) => crate::binfmt::decode_refs_parallel(b, threads)?
+                .iter()
+                .for_each(stage),
+        }
+        Ok(())
+    }
+}
+
 /// The unified correlation pipeline facade. See the module docs.
 #[derive(Debug, Clone)]
 pub struct Pipeline {
@@ -417,48 +482,14 @@ impl Pipeline {
     /// Returns a parse error for malformed text sources and propagates
     /// configuration errors.
     pub fn run(&self, source: Source<'_>) -> Result<CorrelationOutput, TraceError> {
-        let cfg = self.config.correlator.clone();
+        let input = Input::load(source)?;
         let threads = self.config.ingest_threads;
-        // A binary source skips text parsing entirely: one whole-buffer
-        // read, fixed-width record decoding, done.
-        if let Source::BinaryPath(p) = &source {
-            let buf = crate::binfmt::read_binary_file(p)?;
-            return self.run_binary(&buf);
-        }
-        // A path source is one whole-buffer read; every mode then sees
-        // borrowed text and benefits from the parallel chunk scanner.
-        let owned;
-        let source = match source {
-            Source::Path(p) => {
-                owned = crate::ingest::read_log_file(&p)?;
-                Source::Text(&owned)
-            }
-            s => s,
-        };
-        let parse_text = |t: &str| -> Result<Vec<RawRecord>, TraceError> {
-            if threads == 1 {
-                parse_log(t)
-            } else {
-                crate::ingest::parse_log_parallel(t, threads)
-            }
-        };
+        let cfg = self.config.correlator.clone();
         match self.config.mode {
-            Mode::Batch => {
-                let records = match source {
-                    Source::Records(r) => r,
-                    Source::Text(t) => parse_text(t)?,
-                    _ => unreachable!("path sources resolve above"),
-                };
-                Correlator::new(cfg).correlate(records)
-            }
+            Mode::Batch => Correlator::new(cfg).correlate(input.records(threads)?),
             Mode::Streaming => {
-                let records = match source {
-                    Source::Records(r) => r,
-                    Source::Text(t) => parse_text(t)?,
-                    _ => unreachable!("path sources resolve above"),
-                };
                 let mut sc = StreamingCorrelator::new(cfg)?;
-                for rec in records {
+                for rec in input.records(threads)? {
                     sc.push(rec)?;
                 }
                 let mut out = sc.finish()?;
@@ -468,120 +499,14 @@ impl Pipeline {
                 out.canonicalize();
                 Ok(out)
             }
-            Mode::Sharded(n) => match source {
-                Source::Records(r) => ShardedCorrelator::correlate(cfg, n, r),
-                Source::Text(t) if threads != 1 => {
-                    // Parallel zero-copy ingest: the parsed slice is
-                    // byte-identical to `parse_log_iter`'s sequence, so
-                    // staging it record-by-record routes exactly like
-                    // `correlate_text`.
-                    let refs = crate::ingest::parse_refs_parallel(t, threads)?;
-                    let mut sc = ShardedCorrelator::new(cfg, n)?;
-                    for r in &refs {
-                        sc.stage_ref(r);
-                    }
-                    sc.finish()
-                }
-                Source::Text(t) => ShardedCorrelator::correlate_text(cfg, n, t),
-                _ => unreachable!("path sources resolve above"),
-            },
-            Mode::Distributed {
-                routers,
-                workers_per_router,
-            } => {
-                let transport = &self.config.router_transport;
-                match source {
-                    Source::Records(r) => {
-                        crate::dist::correlate(cfg, routers, workers_per_router, transport, r)
-                    }
-                    Source::Text(t) if threads != 1 => {
-                        let refs = crate::ingest::parse_refs_parallel(t, threads)?;
-                        let mut dc =
-                            DistCorrelator::new(cfg, routers, workers_per_router, transport)?;
-                        for r in &refs {
-                            dc.stage_ref(r);
-                        }
-                        dc.finish()
-                    }
-                    Source::Text(t) => {
-                        crate::dist::correlate_text(cfg, routers, workers_per_router, transport, t)
-                    }
-                    _ => unreachable!("path sources resolve above"),
-                }
-            }
-        }
-    }
-
-    /// Correlates a decoded PTBIN buffer. The decoded record sequence
-    /// is exactly what text parsing of the converted log would produce
-    /// (the format round-trips losslessly), so every mode's output is
-    /// byte-identical to the equivalent text run.
-    fn run_binary(&self, buf: &[u8]) -> Result<CorrelationOutput, TraceError> {
-        let cfg = self.config.correlator.clone();
-        let threads = self.config.ingest_threads;
-        let decode_owned = || -> Result<Vec<RawRecord>, TraceError> {
-            if threads == 1 {
-                crate::binfmt::decode_records(buf)
-            } else {
-                let refs = crate::binfmt::decode_refs_parallel(buf, threads)?;
-                let mut interner = crate::intern::Interner::new();
-                Ok(refs
-                    .iter()
-                    .map(|r| r.to_owned_interned(&mut interner))
-                    .collect())
-            }
-        };
-        match self.config.mode {
-            Mode::Batch => Correlator::new(cfg).correlate(decode_owned()?),
-            Mode::Streaming => {
-                let mut sc = StreamingCorrelator::new(cfg)?;
-                for rec in decode_owned()? {
-                    sc.push(rec)?;
-                }
-                let mut out = sc.finish()?;
-                out.canonicalize();
-                Ok(out)
-            }
-            Mode::Sharded(n) => {
-                // Zero-copy staging: the decoded refs borrow their
-                // strings straight from the file buffer, exactly like
-                // the sharded text reader borrows from the log text.
-                let mut sc = ShardedCorrelator::new(cfg, n)?;
-                if threads == 1 {
-                    let reader = crate::binfmt::Reader::new(buf)?;
-                    for r in reader.iter() {
-                        sc.stage_ref(&r?);
-                    }
-                } else {
-                    let refs = crate::binfmt::decode_refs_parallel(buf, threads)?;
-                    for r in &refs {
-                        sc.stage_ref(r);
-                    }
-                }
-                sc.finish()
-            }
-            Mode::Distributed {
-                routers,
-                workers_per_router,
-            } => {
-                let mut dc = DistCorrelator::new(
-                    cfg,
-                    routers,
-                    workers_per_router,
-                    &self.config.router_transport,
-                )?;
-                if threads == 1 {
-                    let reader = crate::binfmt::Reader::new(buf)?;
-                    for r in reader.iter() {
-                        dc.stage_ref(&r?);
-                    }
-                } else {
-                    let refs = crate::binfmt::decode_refs_parallel(buf, threads)?;
-                    for r in &refs {
-                        dc.stage_ref(r);
-                    }
-                }
-                dc.finish()
+            Mode::Sharded(_) | Mode::Distributed { .. } => {
+                // The whole input is staged before the first routing
+                // pass, so records may arrive in any order: the
+                // router's per-entity lanes re-sort them by local time,
+                // like the batch drain's per-node sort.
+                let mut cluster = Cluster::new(&self.config)?;
+                input.for_each_ref(threads, |r| cluster.stage_ref(r))?;
+                cluster.finish()
             }
         }
     }
@@ -625,16 +550,9 @@ impl Pipeline {
                     }
                 }
                 Mode::Streaming => SessionInner::Streaming(StreamingCorrelator::new(cfg)?),
-                Mode::Sharded(n) => SessionInner::Sharded(ShardedCorrelator::new(cfg, n)?),
-                Mode::Distributed {
-                    routers,
-                    workers_per_router,
-                } => SessionInner::Dist(DistCorrelator::new(
-                    cfg,
-                    routers,
-                    workers_per_router,
-                    &self.config.router_transport,
-                )?),
+                Mode::Sharded(_) | Mode::Distributed { .. } => {
+                    SessionInner::Cluster(Cluster::new(&self.config)?)
+                }
             },
         })
     }
@@ -649,8 +567,7 @@ enum SessionInner {
         finished: bool,
     },
     Streaming(StreamingCorrelator),
-    Sharded(ShardedCorrelator),
-    Dist(DistCorrelator),
+    Cluster(Cluster),
 }
 
 /// An incremental pipeline run opened by [`Pipeline::session`]. After
@@ -679,8 +596,7 @@ impl PipelineSession {
                 Ok(())
             }
             SessionInner::Streaming(sc) => sc.push(rec),
-            SessionInner::Sharded(sc) => sc.push(rec),
-            SessionInner::Dist(dc) => dc.push(rec),
+            SessionInner::Cluster(c) => c.push(&rec),
         }
     }
 
@@ -693,8 +609,7 @@ impl PipelineSession {
     /// [`TraceError::Finished`] after [`Self::finish`].
     pub fn push_line(&mut self, line: &str) -> Result<(), TraceError> {
         match &mut self.inner {
-            SessionInner::Sharded(sc) => sc.push_line(line),
-            SessionInner::Dist(dc) => dc.push_line(line),
+            SessionInner::Cluster(c) => c.push_line(line),
             _ => self.push(RawRecord::parse_line(line)?),
         }
     }
@@ -716,12 +631,8 @@ impl PipelineSession {
                 Ok(Vec::new())
             }
             SessionInner::Streaming(sc) => sc.poll(),
-            SessionInner::Sharded(sc) => {
-                sc.flush()?;
-                Ok(Vec::new())
-            }
-            SessionInner::Dist(dc) => {
-                dc.flush()?;
+            SessionInner::Cluster(c) => {
+                c.flush()?;
                 Ok(Vec::new())
             }
         }
@@ -737,8 +648,7 @@ impl PipelineSession {
                 buffered.len() * std::mem::size_of::<RawRecord>()
             }
             SessionInner::Streaming(sc) => sc.approx_bytes(),
-            SessionInner::Sharded(sc) => sc.approx_router_bytes(),
-            SessionInner::Dist(dc) => dc.approx_router_bytes(),
+            SessionInner::Cluster(c) => c.approx_router_bytes(),
         }
     }
 
@@ -775,8 +685,7 @@ impl PipelineSession {
                 Correlator::new(config.clone()).correlate(std::mem::take(buffered))
             }
             SessionInner::Streaming(sc) => sc.finish(),
-            SessionInner::Sharded(sc) => sc.finish(),
-            SessionInner::Dist(dc) => dc.finish(),
+            SessionInner::Cluster(c) => c.finish(),
         }
     }
 }
@@ -862,11 +771,11 @@ mod tests {
     #[test]
     fn binary_source_matches_text_source_in_every_mode() {
         let bin = crate::binfmt::encode_text(three_tier_log(), 1).unwrap();
-        let path = std::env::temp_dir().join(format!(
-            "pt_pipeline_binary_source_{}.ptbin",
-            std::process::id()
-        ));
+        let base = std::env::temp_dir().join(format!("pt_pipeline_source_{}", std::process::id()));
+        let path = base.with_extension("ptbin");
+        let text_path = base.with_extension("log");
         std::fs::write(&path, &bin).unwrap();
+        std::fs::write(&text_path, three_tier_log()).unwrap();
         for mode in [
             Mode::Batch,
             Mode::Streaming,
@@ -885,14 +794,14 @@ mod tests {
                 .unwrap();
                 let from_text = p.run(Source::text(three_tier_log())).unwrap();
                 let from_binary = p.run(Source::binary_path(&path)).unwrap();
-                assert_eq!(
-                    render(&from_text),
-                    render(&from_binary),
-                    "{mode:?} threads={threads}"
-                );
+                let from_path = p.run(Source::path(&text_path)).unwrap();
+                let want = render(&from_text);
+                assert_eq!(want, render(&from_binary), "{mode:?} threads={threads}");
+                assert_eq!(want, render(&from_path), "{mode:?} threads={threads}");
             }
         }
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&text_path).ok();
     }
 
     #[test]
@@ -974,7 +883,6 @@ mod tests {
             .with_max_seal_lag(64)
             .with_channel_idle_horizon(10_000)
             .with_lane_settle_depth(512)
-            .with_orphan_parity()
             .with_ingest_threads(4)
             .with_mode(Mode::Sharded(0));
         assert_eq!(cfg.correlator.ranker.window, Nanos::from_millis(5));
@@ -987,7 +895,6 @@ mod tests {
         assert_eq!(cfg.correlator.max_seal_lag, Some(64));
         assert_eq!(cfg.correlator.channel_idle_horizon, Some(10_000));
         assert_eq!(cfg.correlator.lane_settle_depth, Some(512));
-        assert!(cfg.correlator.orphan_parity);
         let off = PipelineConfig::new(access())
             .with_channel_idle_horizon(0)
             .with_lane_settle_depth(0);

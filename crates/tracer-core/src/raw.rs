@@ -679,13 +679,13 @@ impl RangeDedup {
         let mut d = codec::Dec::new(bytes);
         let touch = d.u64();
         let hwm = d.u64();
-        let n = d.u32();
         let mut ooo = std::collections::BTreeMap::new();
-        for _ in 0..n {
+        for _ in 0..d.count(16) {
             let o = d.u64();
             let l = d.u64();
             ooo.insert(o, l);
         }
+        assert!(d.finish().is_ok(), "malformed dedup spill entry");
         self.cover.insert(
             key,
             CoverEntry {

@@ -5,7 +5,7 @@
 //! access-point session, but sessions are independent: every activity
 //! of a request — its BEGIN at the access point, the internal
 //! SEND/RECEIVE cascade, the final END — belongs to exactly one client
-//! session. [`ShardedCorrelator`] exploits that:
+//! session. The cluster host [`Cluster`] exploits that:
 //!
 //! ```text
 //!            reader thread                     worker threads
@@ -24,7 +24,10 @@
 //!   (the reader is sequential, so the routing is deterministic).
 //! * Each **worker** owns a [`StreamingCorrelator`] fed through a
 //!   bounded SPSC channel (back-pressure bounds memory) and correlates
-//!   its shard's sessions while the reader keeps parsing.
+//!   its shard's sessions while the reader keeps parsing. The workers
+//!   are threads of this process (`Mode::Sharded`) or live behind PTDC
+//!   router peers (`Mode::Distributed`, see [`crate::dist`]); either
+//!   backend sees the same batches, so the output is the same.
 //! * The **merge** stage re-sequences the union of all sealed CAGs into
 //!   a canonical deterministic order — sorted by CAG root (the BEGIN's
 //!   timestamp, context and channel), ids renumbered sequentially — so
@@ -74,10 +77,12 @@ use crate::fasthash::{FxBuildHasher, FxHashMap};
 use crate::filter::FilterSet;
 use crate::intern::Interner;
 use crate::metrics::CorrelatorMetrics;
-use crate::raw::{parse_log_iter, RangeDedup, RawRecord, RawRecordRef};
+use crate::pipeline::{Mode, PipelineConfig};
+use crate::raw::{RangeDedup, RawRecord, RawRecordRef};
 
-/// Activities per channel message (amortizes channel synchronization).
-const BATCH_RECORDS: usize = 4_096;
+/// Activities per channel message or Claim frame (amortizes channel
+/// synchronization); every backend sees the same batch boundaries.
+pub(crate) const BATCH_RECORDS: usize = 4_096;
 
 /// Bounded channel capacity, in batches, per shard (back-pressure: the
 /// reader blocks instead of buffering unboundedly ahead of a slow
@@ -86,7 +91,7 @@ const CHANNEL_BATCHES: usize = 8;
 
 /// Upper bound for `shards = 0` (auto): beyond this the reader is the
 /// bottleneck and more workers only cost memory.
-const AUTO_SHARD_CAP: usize = 16;
+pub(crate) const AUTO_SHARD_CAP: usize = 16;
 
 /// Hard cap on explicit shard counts: each shard is an OS thread plus
 /// a full correlator, and the single reader cannot feed more than this
@@ -339,10 +344,6 @@ struct SessionRouter {
     noise_discards: u64,
     /// First few noise victims, for diagnostics.
     noise_samples: Vec<Activity>,
-    /// Ship orphan-chain records to workers anyway (escape hatch; the
-    /// workers' engines absorb them into never-emitted orphan chains,
-    /// exactly as the batch engine does).
-    orphan_parity: bool,
     /// Orphan-chain records dropped reader-side (never dispatched).
     orphan_dropped: u64,
     /// Channels evicted by the idle GC since the owner last drained
@@ -353,12 +354,7 @@ struct SessionRouter {
 }
 
 impl SessionRouter {
-    fn new(
-        shards: u32,
-        idle_horizon: Option<u64>,
-        settle_depth: Option<u64>,
-        orphan_parity: bool,
-    ) -> Self {
+    fn new(shards: u32, idle_horizon: Option<u64>, settle_depth: Option<u64>) -> Self {
         SessionRouter {
             shards,
             hasher: FxBuildHasher::default(),
@@ -379,7 +375,6 @@ impl SessionRouter {
             forced_routes: 0,
             noise_discards: 0,
             noise_samples: Vec::new(),
-            orphan_parity,
             orphan_dropped: 0,
             evicted: Vec::new(),
         }
@@ -638,9 +633,7 @@ impl SessionRouter {
     /// channel's bytes for that shard. The second return is true when
     /// the send opens or extends an orphan chain and was marked
     /// dropped: the batch engine would bury it in a never-emitted
-    /// orphan chain, so (unless [`SessionRouter::orphan_parity`] asks
-    /// for engine-level parity) there is no point shipping it to a
-    /// worker. Claim bookkeeping is identical either way — dropped
+    /// orphan chain, so there is no point shipping it to a worker. Claim bookkeeping is identical either way — dropped
     /// claims still occupy their FIFO slot so routing decisions do not
     /// shift.
     fn route_send(&mut self, lane: usize, a: &Activity) -> (u32, bool) {
@@ -653,8 +646,7 @@ impl SessionRouter {
                 None => self.hash_to_shard(&conn_key(a.channel.src, a.channel.dst)),
             },
         };
-        let dropped =
-            !self.orphan_parity && (self.lanes[lane].noise || self.lanes[lane].affinity.is_none());
+        let dropped = self.lanes[lane].noise || self.lanes[lane].affinity.is_none();
         let now = self.records_staged;
         let c = self.claims.entry(a.channel).or_default();
         c.staged -= 1;
@@ -1149,8 +1141,7 @@ impl SessionRouter {
 /// sequential [`SessionRouter`], plus the canonical cluster merge.
 /// Everything the correlation algorithm needs exactly **once** per
 /// cluster lives here, regardless of whether the shards behind it are
-/// worker threads ([`ShardedCorrelator`]) or router processes
-/// ([`crate::dist`]): the routing/dispatch sequence — and therefore the
+/// worker threads or router processes ([`crate::dist`]): the routing/dispatch sequence — and therefore the
 /// merged output — is a pure function of the input, not of the
 /// execution topology.
 #[derive(Debug)]
@@ -1180,7 +1171,6 @@ impl ReaderCore {
                 shards,
                 config.channel_idle_horizon,
                 config.lane_settle_depth,
-                config.orphan_parity,
             ),
             records_in: 0,
             filtered_out: 0,
@@ -1188,27 +1178,9 @@ impl ReaderCore {
         }
     }
 
-    /// Classifies, filters and stages one record without routing yet.
-    pub(crate) fn ingest(&mut self, mut rec: RawRecord) {
-        self.records_in += 1;
-        match self.range_dedup.decide_owned(&rec) {
-            crate::raw::IngestDecision::Drop => {
-                self.retrans_dropped += 1;
-                return;
-            }
-            crate::raw::IngestDecision::Admit(size) => rec.size = size,
-        }
-        let act = self.classifier.classify(&rec);
-        if !self.filters.admits(&act) {
-            self.filtered_out += 1;
-            return;
-        }
-        self.router.stage(act);
-        self.evict_dedup();
-    }
-
-    /// Zero-copy counterpart of [`Self::ingest`]: filters the borrowed
-    /// record before any allocation, then interns and stages it.
+    /// Deduplicates, filters, classifies and stages one record without
+    /// routing it yet. The borrowed record is filtered before any
+    /// allocation, then its strings are interned.
     pub(crate) fn stage_ref(&mut self, r: &RawRecordRef<'_>) {
         self.records_in += 1;
         let mut r = *r;
@@ -1362,75 +1334,147 @@ pub(crate) fn run_worker(
     Ok(out)
 }
 
-/// The sharded parallel correlation pipeline — the engine behind
-/// [`crate::pipeline::Mode::Sharded`]; callers reach it through
-/// [`crate::pipeline::Pipeline`]. See the module docs for the
-/// architecture and the output-order contract.
+/// A block of in-process shard workers, each a direct-delivery
+/// [`StreamingCorrelator`] on its own thread behind a bounded channel.
+/// The thread backend of [`Cluster`], and the worker block of every
+/// distributed router peer.
 #[derive(Debug)]
-pub(crate) struct ShardedCorrelator {
-    core: ReaderCore,
-    /// Per-shard batch under construction.
-    pending: Vec<Vec<ShardMsg>>,
+pub(crate) struct WorkerThreads {
     txs: Vec<SyncSender<Vec<ShardMsg>>>,
-    workers: Vec<JoinHandle<Result<CorrelationOutput, TraceError>>>,
-    started: Instant,
-    finished: bool,
+    handles: Vec<JoinHandle<Result<CorrelationOutput, TraceError>>>,
 }
 
-impl ShardedCorrelator {
-    /// Spawns `shards` correlation workers (`0` = auto from
-    /// [`std::thread::available_parallelism`], capped at 16).
-    ///
-    /// A configured [`CorrelatorConfig::memory_budget`] is split evenly
-    /// across the shards, so the configured total still bounds the
-    /// pipeline's resident correlation state.
-    ///
-    /// # Errors
-    ///
-    /// Returns a configuration error when [`CorrelatorConfig::validate`]
-    /// fails.
-    pub fn new(config: CorrelatorConfig, shards: usize) -> Result<Self, TraceError> {
-        config.validate()?;
-        if shards > MAX_SHARDS {
-            return Err(TraceError::config(format!(
-                "shard count {shards} exceeds the maximum of {MAX_SHARDS}"
-            )));
-        }
-        let n = match shards {
-            0 => std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-                .min(AUTO_SHARD_CAP),
-            n => n,
+impl WorkerThreads {
+    /// Spawns `n` workers on the per-worker config `wc` (see
+    /// [`worker_config`]).
+    pub(crate) fn spawn(wc: &CorrelatorConfig, n: usize) -> Result<Self, TraceError> {
+        let mut block = WorkerThreads {
+            txs: Vec::with_capacity(n),
+            handles: Vec::with_capacity(n),
         };
-        let core = ReaderCore::new(&config, n as u32);
-        let shard_cfg = worker_config(&config, n);
-        let mut txs = Vec::with_capacity(n);
-        let mut workers = Vec::with_capacity(n);
         for _ in 0..n {
             // Direct delivery: the router already performed candidate
             // selection (causal order, Rule-1 byte coverage, noise
             // removal), so workers run the engine without re-ranking.
-            let sc = StreamingCorrelator::direct_for_activities(shard_cfg.clone())?;
-            let (tx, rx): (SyncSender<Vec<ShardMsg>>, Receiver<Vec<ShardMsg>>) =
-                sync_channel(CHANNEL_BATCHES);
-            txs.push(tx);
-            workers.push(std::thread::spawn(move || run_worker(sc, rx)));
+            let sc = StreamingCorrelator::direct_for_activities(wc.clone())?;
+            let (tx, rx) = sync_channel(CHANNEL_BATCHES);
+            block.txs.push(tx);
+            block
+                .handles
+                .push(std::thread::spawn(move || run_worker(sc, rx)));
         }
-        Ok(ShardedCorrelator {
-            core,
-            pending: vec![Vec::with_capacity(BATCH_RECORDS); n],
-            txs,
-            workers,
+        Ok(block)
+    }
+
+    pub(crate) fn send(&self, worker: usize, batch: Vec<ShardMsg>) -> Result<(), TraceError> {
+        self.txs[worker]
+            .send(batch)
+            .map_err(|_| TraceError::config("shard worker terminated unexpectedly"))
+    }
+
+    /// Hangs up and joins every worker; outputs come in worker order.
+    pub(crate) fn join(&mut self) -> Result<Vec<CorrelationOutput>, TraceError> {
+        self.txs.clear();
+        self.handles
+            .drain(..)
+            .map(|h| {
+                h.join()
+                    .map_err(|_| TraceError::config("shard worker panicked"))?
+            })
+            .collect()
+    }
+}
+
+impl Drop for WorkerThreads {
+    fn drop(&mut self) {
+        // Hang up so abandoned workers terminate instead of blocking
+        // forever on their receive loops.
+        self.txs.clear();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// Where a [`Cluster`] ships its batches.
+#[derive(Debug)]
+enum Backend {
+    /// In-process worker threads ([`Mode::Sharded`]).
+    Threads(WorkerThreads),
+    /// Router peers over PTDC ([`Mode::Distributed`]).
+    Peers(crate::dist::Peers),
+}
+
+impl Backend {
+    fn send(&mut self, shard: usize, batch: Vec<ShardMsg>) -> Result<(), TraceError> {
+        match self {
+            Backend::Threads(t) => t.send(shard, batch),
+            Backend::Peers(p) => p.send(shard, &batch),
+        }
+    }
+
+    fn flush(&mut self) -> Result<(), TraceError> {
+        match self {
+            // Channels hold no buffered bytes.
+            Backend::Threads(_) => Ok(()),
+            Backend::Peers(p) => p.flush(),
+        }
+    }
+
+    /// Collects every worker's output in global shard order.
+    fn finish(&mut self) -> Result<Vec<CorrelationOutput>, TraceError> {
+        match self {
+            Backend::Threads(t) => t.join(),
+            Backend::Peers(p) => p.finish(),
+        }
+    }
+}
+
+/// The cluster host behind [`Mode::Sharded`] and [`Mode::Distributed`];
+/// callers reach it through [`crate::pipeline::Pipeline`]. One
+/// [`ReaderCore`] routes every record to a global shard, batches of
+/// `BATCH_RECORDS` messages travel to the backend, and the canonical
+/// merge joins the workers' outputs. See the module docs for the
+/// architecture and the output-order contract.
+#[derive(Debug)]
+pub(crate) struct Cluster {
+    core: ReaderCore,
+    /// Per-shard batch under construction.
+    pending: Vec<Vec<ShardMsg>>,
+    backend: Backend,
+    started: Instant,
+    finished: bool,
+}
+
+impl Cluster {
+    /// Starts the workers of a validated sharded or distributed
+    /// pipeline configuration. A configured
+    /// [`CorrelatorConfig::memory_budget`] is split evenly across the
+    /// shards, so the configured total still bounds resident state.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`TraceError::Router`] when a router peer cannot be
+    /// reached.
+    pub(crate) fn new(p: &PipelineConfig) -> Result<Self, TraceError> {
+        let shards = p.shards();
+        let wc = worker_config(&p.correlator, shards);
+        let backend = match p.mode {
+            Mode::Distributed { routers, .. } => Backend::Peers(crate::dist::Peers::connect(
+                &wc,
+                routers,
+                shards / routers,
+                &p.router_transport,
+            )?),
+            _ => Backend::Threads(WorkerThreads::spawn(&wc, shards)?),
+        };
+        Ok(Cluster {
+            core: ReaderCore::new(&p.correlator, shards as u32),
+            pending: vec![Vec::with_capacity(BATCH_RECORDS); shards],
+            backend,
             started: Instant::now(),
             finished: false,
         })
-    }
-
-    /// Number of shard workers.
-    #[cfg(test)]
-    pub fn shards(&self) -> usize {
-        self.txs.len()
     }
 
     /// Approximate resident bytes of the reader-side routing state:
@@ -1439,7 +1483,7 @@ impl ShardedCorrelator {
     /// bounded separately (per-shard memory budget); this gauge covers
     /// the part only the router holds — the state that grows on an
     /// endless stream with heavy untraced-peer noise.
-    pub fn approx_router_bytes(&self) -> usize {
+    pub(crate) fn approx_router_bytes(&self) -> usize {
         self.core.approx_bytes()
             + self
                 .pending
@@ -1456,50 +1500,53 @@ impl ShardedCorrelator {
         }
     }
 
-    /// Stages one activity and routes everything currently routable to
-    /// the workers. `final_input` additionally breaks stuck states so
-    /// the staging area fully drains.
-    fn pump_router(&mut self, final_input: bool) -> Result<(), TraceError> {
-        let ShardedCorrelator {
-            core, pending, txs, ..
+    /// Routes everything currently routable, shipping every batch that
+    /// reaches `BATCH_RECORDS`. `final_input` additionally breaks stuck
+    /// states so the staging area fully drains.
+    fn pump(&mut self, final_input: bool) -> Result<(), TraceError> {
+        let Cluster {
+            core,
+            pending,
+            backend,
+            ..
         } = self;
-        let mut dispatch = |m: ShardMsg, shard: u32| -> Result<(), TraceError> {
+        core.pump(final_input, &mut |m, shard| {
             let shard = shard as usize;
             pending[shard].push(m);
-            if pending[shard].len() >= BATCH_RECORDS {
-                let batch =
-                    std::mem::replace(&mut pending[shard], Vec::with_capacity(BATCH_RECORDS));
-                txs[shard]
-                    .send(batch)
-                    .map_err(|_| TraceError::config("shard worker terminated unexpectedly"))?;
+            if pending[shard].len() < BATCH_RECORDS {
+                return Ok(());
             }
-            Ok(())
-        };
-        core.pump(final_input, &mut dispatch)
+            let batch = std::mem::replace(&mut pending[shard], Vec::with_capacity(BATCH_RECORDS));
+            backend.send(shard, batch)
+        })
     }
 
-    fn flush_shard(&mut self, shard: usize) -> Result<(), TraceError> {
-        if self.pending[shard].is_empty() {
-            return Ok(());
+    /// Ships every partial batch.
+    fn send_pending(&mut self) -> Result<(), TraceError> {
+        for shard in 0..self.pending.len() {
+            if !self.pending[shard].is_empty() {
+                let batch =
+                    std::mem::replace(&mut self.pending[shard], Vec::with_capacity(BATCH_RECORDS));
+                self.backend.send(shard, batch)?;
+            }
         }
-        let batch = std::mem::replace(&mut self.pending[shard], Vec::with_capacity(BATCH_RECORDS));
-        self.txs[shard]
-            .send(batch)
-            .map_err(|_| TraceError::config("shard worker terminated unexpectedly"))
+        Ok(())
     }
 
-    /// Classifies, filters and stages one record without routing yet.
-    fn ingest(&mut self, rec: RawRecord) {
-        self.core.ingest(rec);
+    /// Stages one record without routing it yet: the record is
+    /// filtered before any allocation and its strings are interned.
+    pub(crate) fn stage_ref(&mut self, r: &RawRecordRef<'_>) {
+        self.core.stage_ref(r);
     }
 
-    /// Routes one owned raw record into the pipeline, streaming
-    /// everything currently routable to the workers.
+    /// Routes one owned raw record, streaming everything currently
+    /// routable to the workers.
     ///
     /// Records of one host must arrive in local-timestamp order (small
     /// inversions are re-sorted, like the ranker's staging queues);
-    /// cross-host interleaving is free. For wholly unordered input use
-    /// [`Self::correlate`], which stages the complete set first.
+    /// cross-host interleaving is free. Wholly unordered input must be
+    /// staged completely first ([`Self::stage_ref`]), as
+    /// [`crate::pipeline::Pipeline::run`] does.
     ///
     /// Mid-stream, a RECEIVE whose channel has no known send yet
     /// defers inside the router — including untraced-peer noise,
@@ -1511,223 +1558,56 @@ impl ShardedCorrelator {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::Finished`] after [`Self::finish`], or a
-    /// configuration error when a shard worker died.
-    pub fn push(&mut self, rec: RawRecord) -> Result<(), TraceError> {
+    /// Returns [`TraceError::Finished`] after [`Self::finish`], or an
+    /// error when a worker or router peer died.
+    pub(crate) fn push(&mut self, rec: &RawRecord) -> Result<(), TraceError> {
         self.guard()?;
-        self.ingest(rec);
-        self.pump_router(false)
+        self.core.stage_ref(&rec.as_record_ref());
+        self.pump(false)
     }
 
     /// Parses and routes one TCP_TRACE log line through the zero-copy
-    /// ingest path: the record is filtered before any allocation and
-    /// its strings are interned.
+    /// ingest path.
     ///
     /// # Errors
     ///
     /// Returns a parse error for a malformed line, and
     /// [`TraceError::Finished`] after [`Self::finish`].
-    pub fn push_line(&mut self, line: &str) -> Result<(), TraceError> {
+    pub(crate) fn push_line(&mut self, line: &str) -> Result<(), TraceError> {
         self.guard()?;
-        let r = RawRecordRef::parse_line(line)?;
-        self.push_ref(&r)
+        self.core.stage_ref(&RawRecordRef::parse_line(line)?);
+        self.pump(false)
     }
 
-    /// Zero-copy counterpart of [`Self::ingest`]: filters the borrowed
-    /// record before any allocation, then interns and stages it.
-    pub(crate) fn stage_ref(&mut self, r: &RawRecordRef<'_>) {
-        self.core.stage_ref(r);
-    }
-
-    fn push_ref(&mut self, r: &RawRecordRef<'_>) -> Result<(), TraceError> {
-        self.stage_ref(r);
-        self.pump_router(false)
-    }
-
-    /// Flushes all partial batches to the workers (they keep
-    /// correlating; use before a lull to bound shard input latency).
+    /// Ships all partial batches (the workers keep correlating; use
+    /// before a lull to bound shard input latency).
     ///
     /// # Errors
     ///
     /// Returns [`TraceError::Finished`] after [`Self::finish`].
-    pub fn flush(&mut self) -> Result<(), TraceError> {
+    pub(crate) fn flush(&mut self) -> Result<(), TraceError> {
         self.guard()?;
-        for shard in 0..self.pending.len() {
-            self.flush_shard(shard)?;
-        }
-        Ok(())
+        self.send_pending()?;
+        self.backend.flush()
     }
 
-    /// Closes the pipeline: flushes every batch, joins the workers and
-    /// merges their outputs into the canonical deterministic order (see
-    /// the module docs). The correlator is spent afterwards.
+    /// Closes the cluster: drains the router completely (deferred
+    /// receives resolve, stuck states break by promotion), ships the
+    /// last batches, collects every worker's output in global shard
+    /// order and merges them into the canonical deterministic order
+    /// (see the module docs). The host is spent afterwards.
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::Finished`] when called twice and a
-    /// configuration error when a worker panicked.
-    pub fn finish(&mut self) -> Result<CorrelationOutput, TraceError> {
+    /// Returns [`TraceError::Finished`] when called twice, and an error
+    /// when a worker or router peer failed.
+    pub(crate) fn finish(&mut self) -> Result<CorrelationOutput, TraceError> {
         self.guard()?;
-        // Drain the router completely: with input closed, deferred
-        // receives resolve, stuck states break by promotion.
-        self.pump_router(true)?;
-        for shard in 0..self.pending.len() {
-            self.flush_shard(shard)?;
-        }
+        self.pump(true)?;
+        self.send_pending()?;
         self.finished = true;
-        // Hang up: workers drain their queues and finish.
-        self.txs.clear();
-        let mut outputs = Vec::with_capacity(self.workers.len());
-        for handle in self.workers.drain(..) {
-            let out = handle
-                .join()
-                .map_err(|_| TraceError::config("shard worker panicked"))??;
-            outputs.push(out);
-        }
+        let outputs = self.backend.finish()?;
         Ok(self.core.merge(outputs, self.started))
-    }
-
-    /// Batch convenience: correlates a complete record set through the
-    /// sharded pipeline. Records may arrive in **any** order: the whole
-    /// set is staged first (the router's per-entity lanes re-sort it by
-    /// local time, like the batch drain's per-node sort), then routed
-    /// in one pass that overlaps the workers' correlation.
-    ///
-    /// # Errors
-    ///
-    /// Returns a configuration error when the config is invalid.
-    pub fn correlate(
-        config: CorrelatorConfig,
-        shards: usize,
-        records: Vec<RawRecord>,
-    ) -> Result<CorrelationOutput, TraceError> {
-        let mut sc = ShardedCorrelator::new(config, shards)?;
-        for rec in records {
-            sc.ingest(rec);
-        }
-        sc.finish()
-    }
-
-    /// Batch convenience over a TCP_TRACE text log through the
-    /// zero-copy ingest path: records are parsed borrowed, filtered
-    /// before allocation, interned and staged; the routing pass then
-    /// streams them to the shards, which correlate while the router
-    /// keeps routing.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first parse error, or a configuration error.
-    pub fn correlate_text(
-        config: CorrelatorConfig,
-        shards: usize,
-        text: &str,
-    ) -> Result<CorrelationOutput, TraceError> {
-        let mut sc = ShardedCorrelator::new(config, shards)?;
-        for r in parse_log_iter(text) {
-            sc.stage_ref(&r?);
-        }
-        sc.finish()
-    }
-}
-
-/// Routing introspection for diagnostics and tests: runs only the
-/// reader-side router over a complete record set (grouped/sorted like
-/// [`ShardedCorrelator::correlate`]) and returns each activity with its
-/// shard assignment, in dispatch order.
-#[doc(hidden)]
-pub fn route_records(
-    config: &CorrelatorConfig,
-    shards: usize,
-    records: Vec<RawRecord>,
-) -> Result<Vec<(Activity, u32)>, TraceError> {
-    config.validate()?;
-    let classifier = Classifier::new(config.access.clone());
-    let filters = config.filters.clone();
-    let mut dedup = RangeDedup::new();
-    // Introspection shows every activity's assignment, so orphan
-    // chains are routed (parity mode), never dropped.
-    let mut router = SessionRouter::new(
-        shards.max(1) as u32,
-        config.channel_idle_horizon,
-        config.lane_settle_depth,
-        true,
-    );
-    let mut out = Vec::new();
-    let mut dispatch = |m: ShardMsg, shard: u32| -> Result<(), TraceError> {
-        if let ShardMsg::Act(a) = m {
-            out.push((a, shard));
-        }
-        Ok(())
-    };
-    for mut rec in records {
-        match dedup.decide_owned(&rec) {
-            crate::raw::IngestDecision::Drop => continue,
-            crate::raw::IngestDecision::Admit(size) => rec.size = size,
-        }
-        let act = classifier.classify(&rec);
-        if filters.admits(&act) {
-            router.stage(act);
-            for ch in router.take_evicted() {
-                dedup.evict_channel(ch);
-            }
-        }
-    }
-    router.pump(true, &mut dispatch)?;
-    Ok(out)
-}
-
-/// Like [`route_records`] but pumping after every record, mirroring the
-/// streaming `push` flow. For per-host-ordered input it must produce
-/// identical assignments.
-#[doc(hidden)]
-pub fn route_records_streaming(
-    config: &CorrelatorConfig,
-    shards: usize,
-    records: Vec<RawRecord>,
-) -> Result<Vec<(Activity, u32)>, TraceError> {
-    config.validate()?;
-    let classifier = Classifier::new(config.access.clone());
-    let filters = config.filters.clone();
-    let mut dedup = RangeDedup::new();
-    let mut router = SessionRouter::new(
-        shards.max(1) as u32,
-        config.channel_idle_horizon,
-        config.lane_settle_depth,
-        true,
-    );
-    let mut out = Vec::new();
-    let mut dispatch = |m: ShardMsg, shard: u32| -> Result<(), TraceError> {
-        if let ShardMsg::Act(a) = m {
-            out.push((a, shard));
-        }
-        Ok(())
-    };
-    for mut rec in records {
-        match dedup.decide_owned(&rec) {
-            crate::raw::IngestDecision::Drop => continue,
-            crate::raw::IngestDecision::Admit(size) => rec.size = size,
-        }
-        let act = classifier.classify(&rec);
-        if filters.admits(&act) {
-            router.stage(act);
-            for ch in router.take_evicted() {
-                dedup.evict_channel(ch);
-            }
-            router.pump(false, &mut dispatch)?;
-        }
-    }
-    router.pump(true, &mut dispatch)?;
-    Ok(out)
-}
-
-impl Drop for ShardedCorrelator {
-    fn drop(&mut self) {
-        // Hang up so abandoned workers terminate instead of blocking
-        // forever on their receive loops.
-        self.txs.clear();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -1736,6 +1616,7 @@ mod tests {
     use super::*;
     use crate::access::AccessPointSpec;
     use crate::correlator::Correlator;
+    use crate::pipeline::{Pipeline, Source};
     use crate::raw::parse_log;
 
     fn access() -> AccessPointSpec {
@@ -1747,6 +1628,49 @@ mod tests {
                 "10.0.0.3".parse().unwrap(),
             ],
         )
+    }
+
+    fn config(cfg: CorrelatorConfig, shards: usize) -> PipelineConfig {
+        PipelineConfig::from(cfg).with_mode(Mode::Sharded(shards))
+    }
+
+    /// A full `Pipeline::run` in `Mode::Sharded(shards)`.
+    fn sharded(
+        cfg: CorrelatorConfig,
+        shards: usize,
+        source: Source<'_>,
+    ) -> Result<CorrelationOutput, TraceError> {
+        Pipeline::new(config(cfg, shards))?.run(source)
+    }
+
+    /// A sharded host, validated the way `Pipeline::session` does.
+    fn host(cfg: CorrelatorConfig, shards: usize) -> Result<Cluster, TraceError> {
+        let p = config(cfg, shards);
+        p.validate()?;
+        Cluster::new(&p)
+    }
+
+    /// Runs only the reader side over `records` and returns every
+    /// dispatched message with its shard, sorted, plus the count of
+    /// orphan-chain records dropped before dispatch. `pump_each` pumps
+    /// after every record (the session flow) instead of once after
+    /// staging everything (the `Pipeline::run` flow).
+    fn route(records: &[RawRecord], pump_each: bool) -> (Vec<String>, u64) {
+        let mut core = ReaderCore::new(&CorrelatorConfig::new(access()), 4);
+        let mut routed = Vec::new();
+        let mut dispatch = |m: ShardMsg, shard: u32| -> Result<(), TraceError> {
+            routed.push(format!("{m:?} -> {shard}"));
+            Ok(())
+        };
+        for rec in records {
+            core.stage_ref(&rec.as_record_ref());
+            if pump_each {
+                core.pump(false, &mut dispatch).unwrap();
+            }
+        }
+        core.pump(true, &mut dispatch).unwrap();
+        routed.sort();
+        (routed, core.router.orphan_dropped)
     }
 
     /// Two interleaved three-tier requests from different clients plus
@@ -1827,10 +1751,10 @@ mod tests {
             .correlate(records.clone())
             .unwrap();
         for shards in [1, 2, 3, 4, 8] {
-            let out = ShardedCorrelator::correlate(
+            let out = sharded(
                 CorrelatorConfig::new(access()),
                 shards,
-                records.clone(),
+                Source::records(records.clone()),
             )
             .unwrap();
             assert_eq!(out.cags.len(), batch.cags.len(), "shards={shards}");
@@ -1855,12 +1779,9 @@ mod tests {
     #[test]
     fn shard_count_does_not_change_bytes() {
         let log = two_session_log();
-        let base =
-            ShardedCorrelator::correlate_text(CorrelatorConfig::new(access()), 1, &log).unwrap();
+        let base = sharded(CorrelatorConfig::new(access()), 1, Source::text(&log)).unwrap();
         for shards in [2, 4, 7] {
-            let out =
-                ShardedCorrelator::correlate_text(CorrelatorConfig::new(access()), shards, &log)
-                    .unwrap();
+            let out = sharded(CorrelatorConfig::new(access()), shards, Source::text(&log)).unwrap();
             assert_eq!(
                 format!("{:?}", out.cags),
                 format!("{:?}", base.cags),
@@ -1874,9 +1795,8 @@ mod tests {
     fn text_and_record_ingest_agree() {
         let log = two_session_log();
         let records = parse_log(&log).unwrap();
-        let a =
-            ShardedCorrelator::correlate_text(CorrelatorConfig::new(access()), 3, &log).unwrap();
-        let b = ShardedCorrelator::correlate(CorrelatorConfig::new(access()), 3, records).unwrap();
+        let a = sharded(CorrelatorConfig::new(access()), 3, Source::text(&log)).unwrap();
+        let b = sharded(CorrelatorConfig::new(access()), 3, Source::records(records)).unwrap();
         assert_eq!(format!("{:?}", a.cags), format!("{:?}", b.cags));
         assert_eq!(a.metrics.records_in, b.metrics.records_in);
     }
@@ -1887,14 +1807,14 @@ mod tests {
         log.push_str("600 web sshd 99 99 RECEIVE 172.16.9.9:7000-10.0.0.1:22 500\n");
         let cfg =
             CorrelatorConfig::new(access()).with_filters(FilterSet::new().drop_program("sshd"));
-        let out = ShardedCorrelator::correlate_text(cfg, 4, &log).unwrap();
+        let out = sharded(cfg, 4, Source::text(&log)).unwrap();
         assert_eq!(out.metrics.filtered_out, 1);
         assert_eq!(out.cags.len(), 2);
     }
 
     #[test]
     fn api_after_finish_returns_finished_error() {
-        let mut sc = ShardedCorrelator::new(CorrelatorConfig::new(access()), 2).unwrap();
+        let mut sc = host(CorrelatorConfig::new(access()), 2).unwrap();
         sc.push_line("1000 web httpd 7 7 RECEIVE 192.168.0.9:5000-10.0.0.1:80 120")
             .unwrap();
         let out = sc.finish().unwrap();
@@ -1903,22 +1823,16 @@ mod tests {
         let rec: RawRecord = "2000 web httpd 7 7 SEND 10.0.0.1:80-192.168.0.9:5000 512"
             .parse()
             .unwrap();
-        assert_eq!(sc.push(rec), Err(TraceError::Finished));
+        assert_eq!(sc.push(&rec), Err(TraceError::Finished));
         assert_eq!(sc.flush(), Err(TraceError::Finished));
         assert!(matches!(sc.finish(), Err(TraceError::Finished)));
     }
 
     #[test]
     fn zero_shards_resolves_to_auto() {
-        let sc = ShardedCorrelator::new(CorrelatorConfig::new(access()), 0).unwrap();
-        assert!(sc.shards() >= 1);
-        assert!(sc.shards() <= AUTO_SHARD_CAP);
-    }
-
-    fn fmt_routed(v: &[(Activity, u32)]) -> Vec<String> {
-        let mut s: Vec<String> = v.iter().map(|(a, sh)| format!("{a} -> {sh}")).collect();
-        s.sort();
-        s
+        let sc = host(CorrelatorConfig::new(access()), 0).unwrap();
+        assert!(!sc.pending.is_empty());
+        assert!(sc.pending.len() <= AUTO_SHARD_CAP);
     }
 
     #[test]
@@ -1926,29 +1840,23 @@ mod tests {
         // The routing contract: for per-host-ordered input, assignments
         // are a pure function of the per-entity sequences and
         // per-channel claim FIFOs — staging everything before one
-        // final pump and pumping after every record must produce
-        // identical (activity, shard) streams.
-        let log = two_session_log();
-        let config = CorrelatorConfig::new(access());
-        let records = parse_log(&log).unwrap();
-        let batch = route_records(&config, 4, records.clone()).unwrap();
-        let streaming = route_records_streaming(&config, 4, records).unwrap();
-        assert_eq!(fmt_routed(&batch), fmt_routed(&streaming));
+        // final pump and pumping after every record must dispatch
+        // identical (message, shard) streams and drop the same orphans.
+        let records = parse_log(&two_session_log()).unwrap();
+        let staged = route(&records, false);
+        assert!(staged.1 > 0, "the noise pair is dropped reader-side");
+        assert_eq!(staged, route(&records, true));
     }
 
     #[test]
     fn stage_all_routing_absorbs_arbitrary_input_order() {
-        // The batch entry point stages the complete set first, so even
-        // fully reversed input (every lane built by insertion sort)
-        // routes identically to the in-order run.
-        let log = two_session_log();
-        let config = CorrelatorConfig::new(access());
-        let records = parse_log(&log).unwrap();
-        let in_order = route_records(&config, 4, records.clone()).unwrap();
-        let mut reversed = records;
+        // `Pipeline::run` stages the complete set first, so even fully
+        // reversed input (every lane built by insertion sort) routes
+        // identically to the in-order run.
+        let records = parse_log(&two_session_log()).unwrap();
+        let mut reversed = records.clone();
         reversed.reverse();
-        let rev = route_records(&config, 4, reversed).unwrap();
-        assert_eq!(fmt_routed(&in_order), fmt_routed(&rev));
+        assert_eq!(route(&records, false), route(&reversed, false));
     }
 
     #[test]
@@ -1958,7 +1866,7 @@ mod tests {
         // state and fall back once the claim routes it.
         let config = CorrelatorConfig::new(access());
         let classifier = Classifier::new(config.access.clone());
-        let mut router = SessionRouter::new(4, None, None, true);
+        let mut router = SessionRouter::new(4, None, None);
         let mut sink = |_m: ShardMsg, _s: u32| -> Result<(), TraceError> { Ok(()) };
         let mut feed = |router: &mut SessionRouter, line: String| {
             let rec: RawRecord = line.parse().unwrap();
@@ -2026,7 +1934,7 @@ mod tests {
         let config = CorrelatorConfig::new(access());
         let classifier = Classifier::new(config.access.clone());
         let run = |horizon: Option<u64>| {
-            let mut router = SessionRouter::new(4, horizon, None, true);
+            let mut router = SessionRouter::new(4, horizon, None);
             let mut sink = |_m: ShardMsg, _s: u32| -> Result<(), TraceError> { Ok(()) };
             let mut grow_peak = 0usize;
             for i in 0..400u64 {
@@ -2075,12 +1983,11 @@ mod tests {
         // Channels that stay active within the horizon are never
         // evicted, so output is byte-identical with and without GC.
         let log = two_session_log();
-        let base =
-            ShardedCorrelator::correlate_text(CorrelatorConfig::new(access()), 3, &log).unwrap();
-        let gc = ShardedCorrelator::correlate_text(
+        let base = sharded(CorrelatorConfig::new(access()), 3, Source::text(&log)).unwrap();
+        let gc = sharded(
             CorrelatorConfig::new(access()).with_channel_idle_horizon(4),
             3,
-            &log,
+            Source::text(&log),
         )
         .unwrap();
         assert_eq!(format!("{:?}", gc.cags), format!("{:?}", base.cags));
@@ -2103,7 +2010,7 @@ mod tests {
         let config = CorrelatorConfig::new(access());
         let classifier = Classifier::new(config.access.clone());
         let run = |depth: Option<u64>| {
-            let mut router = SessionRouter::new(4, None, depth, true);
+            let mut router = SessionRouter::new(4, None, depth);
             let mut sink = |_m: ShardMsg, _s: u32| -> Result<(), TraceError> { Ok(()) };
             for i in 0..200u64 {
                 let line = format!(
@@ -2150,12 +2057,11 @@ mod tests {
         // the settle maximally eager, yet output must match the
         // default run byte-for-byte on a live log.
         let log = two_session_log();
-        let base =
-            ShardedCorrelator::correlate_text(CorrelatorConfig::new(access()), 3, &log).unwrap();
-        let eager = ShardedCorrelator::correlate_text(
+        let base = sharded(CorrelatorConfig::new(access()), 3, Source::text(&log)).unwrap();
+        let eager = sharded(
             CorrelatorConfig::new(access()).with_lane_settle_depth(1),
             3,
-            &log,
+            Source::text(&log),
         )
         .unwrap();
         assert_eq!(format!("{:?}", eager.cags), format!("{:?}", base.cags));
@@ -2167,34 +2073,26 @@ mod tests {
         // The untraced-peer noise pair in `two_session_log` can never
         // reach an emitted CAG: the engine would park it on an orphan
         // chain and throw it away at finish. The reader drops such
-        // records before dispatch (counted in `orphan_dropped`);
-        // `--orphan-parity` restores the old ship-everything behavior.
-        // Output bytes are identical either way.
-        let log = two_session_log();
-        let drop_out =
-            ShardedCorrelator::correlate_text(CorrelatorConfig::new(access()), 3, &log).unwrap();
-        let parity_out = ShardedCorrelator::correlate_text(
-            CorrelatorConfig::new(access()).with_orphan_parity(),
+        // records before dispatch and counts them in `orphan_dropped`.
+        let out = sharded(
+            CorrelatorConfig::new(access()),
             3,
-            &log,
+            Source::text(&two_session_log()),
         )
         .unwrap();
         assert!(
-            drop_out.metrics.orphan_dropped > 0,
+            out.metrics.orphan_dropped > 0,
             "the noise pair must be dropped reader-side"
         );
+        assert_eq!(out.metrics.ranker.noise_discards, 1);
+        let batch = Pipeline::new(PipelineConfig::new(access()))
+            .unwrap()
+            .run(Source::text(&two_session_log()))
+            .unwrap();
         assert_eq!(
-            parity_out.metrics.orphan_dropped, 0,
-            "--orphan-parity ships every record to the workers"
-        );
-        assert_eq!(
-            format!("{:?}{:?}", drop_out.cags, drop_out.unfinished),
-            format!("{:?}{:?}", parity_out.cags, parity_out.unfinished),
+            format!("{:?}{:?}", out.cags, out.unfinished),
+            format!("{:?}{:?}", batch.cags, batch.unfinished),
             "dropping orphan chains must not change emitted bytes"
-        );
-        assert_eq!(
-            drop_out.metrics.ranker.noise_discards,
-            parity_out.metrics.ranker.noise_discards
         );
     }
 
@@ -2205,7 +2103,7 @@ mod tests {
         // with one, a drained channel's coverage is evicted together
         // with its router claims, and the memory gauge shrinks.
         let run = |cfg: CorrelatorConfig| {
-            let mut sc = ShardedCorrelator::new(cfg, 2).unwrap();
+            let mut sc = host(cfg, 2).unwrap();
             let mut peak = 0usize;
             for i in 0..400u64 {
                 let port = 4001 + i;
@@ -2242,7 +2140,7 @@ mod tests {
         // lane until finish.
         let config = CorrelatorConfig::new(access());
         let classifier = Classifier::new(config.access.clone());
-        let mut router = SessionRouter::new(4, None, None, true);
+        let mut router = SessionRouter::new(4, None, None);
         let mut routed: Vec<(Activity, u32)> = Vec::new();
         let feed = |router: &mut SessionRouter, line: &str, out: &mut Vec<(Activity, u32)>| {
             let rec: RawRecord = line.parse().unwrap();
@@ -2255,9 +2153,15 @@ mod tests {
             };
             router.pump(false, &mut sink).unwrap();
         };
-        // Send chunks [0,4096) and — LOST — [4096,4360); the next
+        // A session BEGIN gives the sending thread its affinity. Then
+        // send chunks [0,4096) and — LOST — [4096,4360); the next
         // message's send [4360,8456) is staged before the receive
         // resolves.
+        feed(
+            &mut router,
+            "900 web httpd 7 7 RECEIVE 192.168.0.9:5000-10.0.0.1:80 120",
+            &mut routed,
+        );
         feed(
             &mut router,
             "1000 web httpd 7 7 SEND 10.0.0.1:4001-10.0.0.2:8009 4096 seq=0",
@@ -2268,8 +2172,8 @@ mod tests {
             "1200 web httpd 7 7 SEND 10.0.0.1:4001-10.0.0.2:8009 4096 seq=4360",
             &mut routed,
         );
-        let sends_shard = routed[0].1;
-        assert_eq!(routed.len(), 2);
+        let sends_shard = routed[1].1;
+        assert_eq!(routed.len(), 3);
         // The receive covers [0,4360): 264 bytes have no claim and
         // never will (max staged send offset is already 8456).
         feed(
@@ -2277,8 +2181,8 @@ mod tests {
             "2000 app java 9 21 RECEIVE 10.0.0.1:4001-10.0.0.2:8009 4360 seq=0",
             &mut routed,
         );
-        assert_eq!(routed.len(), 3, "gapped receive must resolve mid-stream");
-        assert_eq!(routed[2].1, sends_shard, "and to the claiming send's shard");
+        assert_eq!(routed.len(), 4, "gapped receive must resolve mid-stream");
+        assert_eq!(routed[3].1, sends_shard, "and to the claiming send's shard");
         assert_eq!(router.staged, 0);
         assert_eq!(router.forced_routes, 0, "no stuck-breaker involved");
     }
@@ -2292,7 +2196,7 @@ mod tests {
             .correlate(records.clone())
             .unwrap();
         let sharded =
-            ShardedCorrelator::correlate(CorrelatorConfig::new(access()), 3, records).unwrap();
+            sharded(CorrelatorConfig::new(access()), 3, Source::records(records)).unwrap();
         assert_eq!(batch.metrics.retrans_dropped, 1);
         assert_eq!(sharded.metrics.retrans_dropped, 1);
         assert_eq!(sharded.cags.len(), batch.cags.len());
@@ -2301,7 +2205,7 @@ mod tests {
 
     #[test]
     fn approx_router_bytes_is_exposed() {
-        let mut sc = ShardedCorrelator::new(CorrelatorConfig::new(access()), 2).unwrap();
+        let mut sc = host(CorrelatorConfig::new(access()), 2).unwrap();
         let base = sc.approx_router_bytes();
         // An orphan receive on an unclaimed channel defers in the
         // router until finish.
@@ -2315,7 +2219,7 @@ mod tests {
     #[test]
     fn invalid_config_is_rejected_before_spawning() {
         let cfg = CorrelatorConfig::new(AccessPointSpec::default());
-        assert!(ShardedCorrelator::new(cfg, 4).is_err());
+        assert!(host(cfg, 4).is_err());
     }
 
     #[test]
@@ -2344,10 +2248,10 @@ mod tests {
             .with_memory_budget(16 * 1024)
             .with_shed_on_budget();
         cfg.mem_sample_every = 8;
-        let mut sc = ShardedCorrelator::new(cfg, 2).unwrap();
+        let mut sc = host(cfg, 2).unwrap();
         for i in 0..4_000u64 {
             sc.push(
-                format!(
+                &format!(
                     "{} web httpd 7 7 RECEIVE 192.168.0.9:{}-10.0.0.1:80 100",
                     i * 1_000_000,
                     5_000 + (i % 50_000),

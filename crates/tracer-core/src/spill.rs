@@ -380,7 +380,7 @@ pub(crate) fn encode_cag(cag: &crate::cag::Cag, buf: &mut Vec<u8>) {
 pub(crate) fn decode_cag(bytes: &[u8]) -> crate::cag::Cag {
     let mut d = codec::Dec::new(bytes);
     let cag = decode_cag_from(&mut d);
-    debug_assert!(d.is_empty(), "trailing bytes in CAG spill object");
+    assert!(d.finish().is_ok(), "malformed CAG spill object");
     cag
 }
 
@@ -390,7 +390,8 @@ pub(crate) fn decode_cag(bytes: &[u8]) -> crate::cag::Cag {
 pub(crate) fn decode_cag_from(d: &mut codec::Dec<'_>) -> crate::cag::Cag {
     let id = d.u64();
     let finished = d.u8() != 0;
-    let n = d.u32() as usize;
+    // A vertex is at least 77 bytes (fixed fields, empty strings).
+    let n = d.count(77);
     let mut vertices = Vec::with_capacity(n);
     for _ in 0..n {
         let ty = activity_type_from_code(d.u8());
@@ -402,7 +403,7 @@ pub(crate) fn decode_cag_from(d: &mut codec::Dec<'_>) -> crate::cag::Cag {
         let tid = d.u32();
         let channel = codec::get_channel(d);
         let size = d.u64();
-        let n_tags = d.u32() as usize;
+        let n_tags = d.count(8);
         let mut tags = Vec::with_capacity(n_tags);
         for _ in 0..n_tags {
             tags.push(d.u64());
@@ -496,43 +497,84 @@ pub(crate) mod codec {
         buf.extend_from_slice(s.as_bytes());
     }
 
-    /// A consuming read cursor over a spill object.
+    /// A consuming read cursor over a spill object or a wire frame.
+    ///
+    /// Reads never panic: one that runs past the end, or a string that
+    /// is not UTF-8, marks the cursor bad and yields zero (or `""`)
+    /// from then on. Decoders of untrusted bytes check
+    /// [`Dec::finish`] once at the end instead of after every field.
     pub struct Dec<'a> {
         buf: &'a [u8],
+        bad: bool,
     }
 
     impl<'a> Dec<'a> {
         pub fn new(buf: &'a [u8]) -> Self {
-            Dec { buf }
+            Dec { buf, bad: false }
+        }
+
+        fn fail(&mut self) {
+            self.bad = true;
+            self.buf = &[];
+        }
+
+        fn take(&mut self, n: usize) -> &'a [u8] {
+            if n > self.buf.len() {
+                self.fail();
+                return &[];
+            }
+            let (head, rest) = self.buf.split_at(n);
+            self.buf = rest;
+            head
+        }
+
+        fn array<const N: usize>(&mut self) -> [u8; N] {
+            self.take(N).try_into().unwrap_or([0; N])
         }
 
         pub fn u64(&mut self) -> u64 {
-            let (head, rest) = self.buf.split_at(8);
-            self.buf = rest;
-            u64::from_le_bytes(head.try_into().expect("8 bytes"))
+            u64::from_le_bytes(self.array())
         }
 
         pub fn u32(&mut self) -> u32 {
-            let (head, rest) = self.buf.split_at(4);
-            self.buf = rest;
-            u32::from_le_bytes(head.try_into().expect("4 bytes"))
+            u32::from_le_bytes(self.array())
         }
 
         pub fn u8(&mut self) -> u8 {
-            let (head, rest) = self.buf.split_at(1);
-            self.buf = rest;
-            head[0]
+            self.array::<1>()[0]
         }
 
         pub fn str(&mut self) -> &'a str {
             let len = self.u32() as usize;
-            let (head, rest) = self.buf.split_at(len);
-            self.buf = rest;
-            std::str::from_utf8(head).expect("utf8 spill string")
+            let bytes = self.take(len);
+            std::str::from_utf8(bytes).unwrap_or_else(|_| {
+                self.bad = true;
+                ""
+            })
         }
 
-        pub fn is_empty(&self) -> bool {
-            self.buf.is_empty()
+        /// Reads an element count, bounded by what the remaining bytes
+        /// can hold at `min_size` bytes per element, so a corrupt count
+        /// cannot drive a huge allocation or loop.
+        pub fn count(&mut self, min_size: usize) -> usize {
+            let n = self.u32() as usize;
+            if n > self.buf.len() / min_size {
+                self.fail();
+                return 0;
+            }
+            n
+        }
+
+        /// `Ok` when every read stayed in bounds and consumed the
+        /// buffer exactly.
+        pub fn finish(&self) -> std::io::Result<()> {
+            if self.bad || !self.buf.is_empty() {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "truncated or malformed frame",
+                ));
+            }
+            Ok(())
         }
     }
 }

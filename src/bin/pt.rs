@@ -134,11 +134,6 @@ CORRELATION OPTIONS:
   --router-addr A,B,.. connect to already-running `pt router --listen`
                        peers over TCP instead of spawning children;
                        one host:port per router, in router order
-  --orphan-parity      with --shards, ship orphan-chain records (noise
-                       chatter no session owns) to the workers instead
-                       of dropping them reader-side; the output is
-                       identical either way, only engine-level counters
-                       differ
   --stats              (correlate) additionally print the ingest dedup
                        counters: retrans_dropped, seq_dedup_ranges and
                        v2_records — v1 marker vs v2 range behavior at
@@ -265,15 +260,10 @@ const PATTERNS_VALUE_OPTS: &[&str] = &[
     "--ingest-threads",
     "--dot",
 ];
-const CORRELATE_BOOL_OPTS: &[&str] = &[
-    "--adaptive-window",
-    "--stats",
-    "--orphan-parity",
-    "--shed-on-budget",
-];
+const CORRELATE_BOOL_OPTS: &[&str] = &["--adaptive-window", "--stats", "--shed-on-budget"];
 /// `--stats` is correlate-only, so `patterns`/`diff` reject it instead
 /// of silently accepting a no-op (same convention as `--dot`).
-const ANALYSIS_BOOL_OPTS: &[&str] = &["--adaptive-window", "--orphan-parity", "--shed-on-budget"];
+const ANALYSIS_BOOL_OPTS: &[&str] = &["--adaptive-window", "--shed-on-budget"];
 
 fn access_from(args: &ParsedArgs) -> Result<AccessPointSpec, String> {
     let port: u16 = args.parse_opt("--port")?.ok_or("missing --port")?;
@@ -358,9 +348,6 @@ fn correlate_file(
     // One facade for every mode: batch parses owned records; the
     // sharded pipeline ingests the text zero-copy and emits canonical
     // root order (same bytes for any shard count).
-    if args.flag("--orphan-parity") {
-        config = config.with_orphan_parity();
-    }
     let (mode, router_transport) = mode_from(args, shards)?;
     let pipeline = Pipeline::new(PipelineConfig {
         correlator: config,
@@ -831,7 +818,7 @@ fn correlate_cmd(raw: &[String]) -> Result<(), String> {
     }
     if out.metrics.orphan_dropped > 0 {
         println!(
-            "router: dropped {} orphan-chain records reader-side (--orphan-parity ships them)",
+            "router: dropped {} orphan-chain records reader-side",
             out.metrics.orphan_dropped
         );
     }

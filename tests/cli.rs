@@ -370,39 +370,100 @@ fn distributed_correlation_flags_work() {
     );
 
     // TCP transport: real `pt router --listen` daemons on loopback.
-    let mut routers = Vec::new();
-    let mut addrs = Vec::new();
-    let mut banners = Vec::new();
-    for _ in 0..2 {
+    let routers = [Router::spawn(), Router::spawn()];
+    let addrs: Vec<&str> = routers.iter().map(|r| r.addr.as_str()).collect();
+    let tcp = correlate(&["--routers", "2", "--router-addr", &addrs.join(",")]);
+    assert_eq!(tcp, shards2, "--router-addr run diverged from --shards 2");
+}
+
+/// A `pt router --listen` daemon on a loopback port, killed on drop.
+struct Router {
+    child: std::process::Child,
+    addr: String,
+    // The daemon logs to stderr for its whole life; closing the pipe
+    // would EPIPE its later log lines.
+    _stderr: std::io::BufReader<std::process::ChildStderr>,
+}
+
+impl Router {
+    fn spawn() -> Router {
+        use std::io::BufRead as _;
         let mut child = pt()
             .args(["router", "--listen", "127.0.0.1:0"])
             .stderr(std::process::Stdio::piped())
             .spawn()
             .expect("spawn pt router");
-        // The daemon announces its bound address on stderr first. The
-        // reader must stay alive for the daemon's lifetime — closing
-        // the pipe would EPIPE its later log lines.
-        use std::io::BufRead as _;
-        let mut banner = std::io::BufReader::new(child.stderr.take().unwrap());
+        // The daemon announces its bound address on stderr first.
+        let mut stderr = std::io::BufReader::new(child.stderr.take().unwrap());
         let mut line = String::new();
-        banner.read_line(&mut line).expect("read router banner");
+        stderr.read_line(&mut line).expect("read router banner");
         let addr = line
             .trim()
             .rsplit(' ')
             .next()
-            .expect("addr in router banner")
+            .unwrap_or_default()
             .to_string();
         assert!(addr.starts_with("127.0.0.1:"), "banner: {line:?}");
-        addrs.push(addr);
-        banners.push(banner);
-        routers.push(child);
+        Router {
+            child,
+            addr,
+            _stderr: stderr,
+        }
     }
-    let tcp = correlate(&["--routers", "2", "--router-addr", &addrs.join(",")]);
-    assert_eq!(tcp, shards2, "--router-addr run diverged from --shards 2");
-    for mut child in routers {
-        child.kill().ok();
-        child.wait().ok();
+}
+
+impl Drop for Router {
+    fn drop(&mut self) {
+        self.child.kill().ok();
+        self.child.wait().ok();
     }
+}
+
+#[test]
+fn router_listener_serves_a_valid_session_after_a_hostile_one() {
+    use std::io::{Read as _, Write as _};
+    let log = TmpFile::new("hostile-router.log");
+    let out = pt()
+        .args(["simulate", "--clients", "6", "--seconds", "4"])
+        .args(["--seed", "3", "--out", log.as_str()])
+        .output()
+        .expect("run pt simulate");
+    assert!(out.status.success());
+    let router = Router::spawn();
+
+    // A Hello frame with a 3-byte payload: the router must fail this
+    // session, not the process.
+    let mut hostile = std::net::TcpStream::connect(&router.addr).expect("connect");
+    hostile
+        .write_all(&[1, 3, 0, 0, 0, b'a', b'b', b'c'])
+        .unwrap();
+    hostile.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut reply = Vec::new();
+    hostile.read_to_end(&mut reply).unwrap();
+    assert_eq!(
+        reply.first(),
+        Some(&5),
+        "an Error frame answers the hostile hello"
+    );
+
+    let correlate = |extra: &[&str]| {
+        let out = pt()
+            .args(["correlate", log.as_str(), "--port", "80"])
+            .args(["--internal", INTERNAL])
+            .args(extra)
+            .output()
+            .expect("run pt correlate");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        strip_wall(&String::from_utf8_lossy(&out.stdout))
+    };
+    assert_eq!(
+        correlate(&["--routers", "1", "--router-addr", &router.addr]),
+        correlate(&["--shards", "1"])
+    );
 }
 
 #[test]
@@ -569,14 +630,13 @@ fn ingest_threads_and_orphan_parity_flags_work() {
         );
     }
 
-    // The escape hatch is accepted alongside the sharded pipeline and
-    // still produces a successful correlation report.
+    // Parallel ingest feeds the sharded pipeline too.
     let out = pt()
         .args(["correlate", log.as_str(), "--port", "80"])
         .args(["--internal", INTERNAL])
-        .args(["--shards", "2", "--orphan-parity", "--ingest-threads", "2"])
+        .args(["--shards", "2", "--ingest-threads", "2"])
         .output()
-        .expect("run pt correlate --orphan-parity");
+        .expect("run pt correlate --ingest-threads");
     assert!(
         out.status.success(),
         "{}",
@@ -584,6 +644,20 @@ fn ingest_threads_and_orphan_parity_flags_work() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("causal paths"), "{stdout}");
+
+    // The output-neutral `--orphan-parity` knob is gone.
+    let err = stderr_of(&[
+        "correlate",
+        log.as_str(),
+        "--port",
+        "80",
+        "--internal",
+        INTERNAL,
+        "--shards",
+        "2",
+        "--orphan-parity",
+    ]);
+    assert!(err.contains("unknown flag \"--orphan-parity\""), "{err}");
 }
 
 #[test]
