@@ -3,8 +3,10 @@
 //!
 //! [`StreamingCorrelator`] is the one true correlation path: records are
 //! pushed incrementally (`push` → `poll` → `finish`), candidates flow
-//! through the [`crate::ranker::Ranker`]/[`crate::engine::Engine`] loop,
-//! and completed CAGs stream out with bounded memory. The offline
+//! through the [`crate::ranker::Ranker`]/[`crate::engine::Engine`] loop
+//! (or, in direct-delivery mode, arrive already selected by the session
+//! router of [`crate::shard`]), and completed CAGs stream out with
+//! bounded memory. The offline
 //! [`Correlator`] — the paper's evaluation setup ("all experiments are
 //! done offline") — is a thin drain over the streaming path: it groups a
 //! complete record set per node, sorts each node by local time (the
@@ -85,9 +87,10 @@ pub struct CorrelatorConfig {
     /// default) waits indefinitely — the only mode whose emission is
     /// timing-independent, so goldens use it.
     pub max_seal_lag: Option<u64>,
-    /// Sharded mode only: evict the session router's per-channel
-    /// claim/role entries once a channel has been idle for this many
-    /// staged records (a record-count horizon, so it needs no clock).
+    /// Session-router modes only (streaming, sharded, distributed):
+    /// evict the router's per-channel claim/role entries once a channel
+    /// has been idle for this many staged records (a record-count
+    /// horizon, so it needs no clock).
     /// Only fully drained channels (no queued claims, no staged sends,
     /// no waiting receives) are evicted, so routing stays correct; an
     /// evicted channel merely forgets its last-shard drift fallback and
@@ -97,8 +100,8 @@ pub struct CorrelatorConfig {
     /// out of the box; `None` (set via `with_channel_idle_horizon(0)`)
     /// never evicts.
     pub channel_idle_horizon: Option<u64>,
-    /// Sharded mode only: bounded-age settle rule for deferred-receive
-    /// and noise lanes. A lane whose head receive cannot be routed yet
+    /// Session-router modes only: bounded-age settle rule for
+    /// deferred-receive and noise lanes. A lane whose head receive cannot be routed yet
     /// (its channel's send bytes are still in flight on another lane)
     /// normally parks until the matching send stages — which on a
     /// stream that never delivers that send (a dead peer, a dropped
@@ -435,9 +438,12 @@ impl Correlator {
 /// every further `push`/`poll`/`close_host`/`finish` returns
 /// [`TraceError::Finished`].
 ///
-/// This is the engine behind [`crate::pipeline::Mode::Streaming`];
-/// callers reach it through [`crate::pipeline::Pipeline::session`]
-/// (push/poll/finish map one-to-one).
+/// Every mode runs on it, through [`crate::pipeline::Pipeline`]: ranked
+/// behind [`crate::pipeline::Mode::Batch`]'s drain, and in
+/// direct-delivery mode behind the session router of
+/// [`crate::pipeline::Mode::Streaming`] (one instance in the caller's
+/// thread) and of the sharded and distributed modes (one per shard
+/// worker).
 #[derive(Debug)]
 pub(crate) struct StreamingCorrelator {
     classifier: Classifier,

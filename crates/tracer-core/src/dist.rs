@@ -1538,7 +1538,7 @@ mod tests {
         let err = match cluster(cfg, transport) {
             Err(e) => e,
             Ok(mut dc) => {
-                let mut last = dc.flush().err();
+                let mut last = dc.poll().err();
                 if last.is_none() {
                     last = dc.finish().err();
                 }

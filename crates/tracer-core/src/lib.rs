@@ -24,7 +24,8 @@
 //! The public entry point is [`pipeline::Pipeline`]: one
 //! [`pipeline::PipelineConfig`] (correlation knobs + a
 //! [`pipeline::Mode`]: batch, streaming, sharded or distributed, the
-//! last two on one [`shard`] cluster host) and one
+//! last three on one [`shard`] cluster host, whose session router takes
+//! the Ranker's place) and one
 //! [`pipeline::Source`] (owned records, zero-copy text, a text log
 //! path, or a [`binfmt`] PTBIN binary path), run through a single
 //! `builder → run(source)` path. The legacy `Correlator` /

@@ -23,21 +23,23 @@
 //! * [`Mode::Batch`] — the paper's offline evaluation setup: group per
 //!   node, sort by local time, drain through the streaming core. CAG
 //!   ids follow seal order.
-//! * [`Mode::Streaming`] — records are pushed in arrival order and the
-//!   output streams out with bounded memory; on a complete source this
-//!   is byte-identical to `Batch` whenever ranking starts with the
-//!   input staged (pinned by the golden tests). For true online use,
-//!   open an incremental handle with [`Pipeline::session`].
-//! * [`Mode::Sharded`]`(n)` — the reader-side session router feeding
-//!   `n` worker threads, merged into canonical root order; output is
+//! * [`Mode::Streaming`] — the reader-side session router feeding one
+//!   direct-delivery engine in the caller's thread. An incremental
+//!   handle ([`Pipeline::session`]) emits each CAG as it seals, with
+//!   bounded memory; on a complete source the output is byte-identical
+//!   to `Batch` (pinned by the golden tests).
+//! * [`Mode::Sharded`]`(n)` — the same router feeding `n` worker
+//!   threads, merged into canonical root order; output is
 //!   byte-identical for every shard count.
 //! * [`Mode::Distributed`] — the same cluster host with its workers
 //!   behind router peers (see [`crate::dist`]); output is
 //!   byte-identical to `Sharded` with the same total shard count.
 //!
-//! [`Pipeline::run`] loads its [`Source`] once: the single-instance
-//! modes take owned records, the two cluster modes stage borrowed
-//! [`RawRecordRef`]s into the host.
+//! Only `Batch` selects candidates with the paper's windowed
+//! [`crate::ranker::Ranker`]; the other three modes share the session
+//! router's window-free selection. [`Pipeline::run`] loads its
+//! [`Source`] once: `Batch` takes owned records, the router modes stage
+//! borrowed [`RawRecordRef`]s into the host.
 //!
 //! The old three entry-point types went through one release as
 //! deprecated shims and have been removed; the engines they named now
@@ -68,8 +70,7 @@ use crate::access::AccessPointSpec;
 use crate::activity::{Activity, Nanos};
 use crate::cag::Cag;
 use crate::correlator::{
-    CorrelationOutput, Correlator, CorrelatorConfig, EngineOptions, RankerOptions,
-    StreamingCorrelator, WindowPolicy,
+    CorrelationOutput, Correlator, CorrelatorConfig, EngineOptions, RankerOptions, WindowPolicy,
 };
 use crate::dist::{RouterTransport, MAX_ROUTERS};
 use crate::error::TraceError;
@@ -85,8 +86,10 @@ pub enum Mode {
     /// draining through the streaming core. The default.
     #[default]
     Batch,
-    /// Single-instance streaming: records are pushed in source order
-    /// and correlate with bounded memory as they arrive.
+    /// Single-instance streaming: the session router selects
+    /// candidates for one direct-delivery engine in the caller's
+    /// thread, so a session seals CAGs while records still arrive, with
+    /// bounded memory. The sliding window is not used.
     Streaming,
     /// Parallel sharded correlation with this many worker threads
     /// (`0` = one per CPU core, capped): reader-side session routing,
@@ -205,16 +208,16 @@ impl PipelineConfig {
         self
     }
 
-    /// Evicts idle per-channel router state in sharded mode; `0`
-    /// disables the GC (see
+    /// Evicts idle per-channel router state in the session-router
+    /// modes; `0` disables the GC (see
     /// [`CorrelatorConfig::channel_idle_horizon`]).
     pub fn with_channel_idle_horizon(mut self, records: u64) -> Self {
         self.correlator = self.correlator.with_channel_idle_horizon(records);
         self
     }
 
-    /// Force-settles parked lane heads in sharded mode once `depth`
-    /// records buffer behind them; `0` parks indefinitely (see
+    /// Force-settles parked lane heads in the session-router modes once
+    /// `depth` records buffer behind them; `0` parks indefinitely (see
     /// [`CorrelatorConfig::lane_settle_depth`]).
     pub fn with_lane_settle_depth(mut self, depth: u64) -> Self {
         self.correlator = self.correlator.with_lane_settle_depth(depth);
@@ -275,7 +278,7 @@ impl PipelineConfig {
 
     /// The shard workers the mode runs: `Sharded(0)` is one per core
     /// (capped), a distributed cluster counts every router's block, and
-    /// the single-instance modes count one.
+    /// batch and streaming count one.
     pub(crate) fn shards(&self) -> usize {
         match self.mode {
             Mode::Sharded(0) => std::thread::available_parallelism()
@@ -308,13 +311,12 @@ impl From<CorrelatorConfig> for PipelineConfig {
 /// the old entry points each exposed differently.
 #[derive(Debug)]
 pub enum Source<'a> {
-    /// Owned, already-parsed records (any order; batch and sharded
-    /// modes re-sort per node).
+    /// Owned, already-parsed records (any order; every mode re-sorts
+    /// per node or per execution entity).
     Records(Vec<RawRecord>),
-    /// A TCP_TRACE text log. Sharded mode ingests it **zero-copy**
+    /// A TCP_TRACE text log. The router modes ingest it **zero-copy**
     /// (borrowed [`crate::raw::RawRecordRef`] parsing, interned
-    /// strings); the single-instance modes parse it into owned records
-    /// first.
+    /// strings); batch mode parses it into owned records first.
     Text(&'a str),
     /// A TCP_TRACE log file, read as one whole buffer at
     /// [`Pipeline::run`] and scanned with
@@ -325,7 +327,7 @@ pub enum Source<'a> {
     /// A PTBIN binary record file (see [`crate::binfmt`]), read as one
     /// whole buffer at [`Pipeline::run`] and decoded with
     /// `PipelineConfig::ingest_threads` workers — text parsing is
-    /// skipped entirely, and sharded mode stages the decoded records
+    /// skipped entirely, and the router modes stage the decoded records
     /// zero-copy (strings borrowed from the file buffer). Correlating
     /// a converted log is byte-identical to correlating the text
     /// original.
@@ -399,8 +401,8 @@ impl<'a> Input<'a> {
         })
     }
 
-    /// Owned records for the single-instance modes, parsed or decoded
-    /// by `threads` workers.
+    /// Owned records for batch mode, parsed or decoded by `threads`
+    /// workers.
     fn records(self, threads: usize) -> Result<Vec<RawRecord>, TraceError> {
         match self {
             Input::Records(r) => Ok(r),
@@ -487,19 +489,7 @@ impl Pipeline {
         let cfg = self.config.correlator.clone();
         match self.config.mode {
             Mode::Batch => Correlator::new(cfg).correlate(input.records(threads)?),
-            Mode::Streaming => {
-                let mut sc = StreamingCorrelator::new(cfg)?;
-                for rec in input.records(threads)? {
-                    sc.push(rec)?;
-                }
-                let mut out = sc.finish()?;
-                // A full run returns everything at once, so the
-                // canonical cross-mode order applies here too; only
-                // incremental sessions keep emission order.
-                out.canonicalize();
-                Ok(out)
-            }
-            Mode::Sharded(_) | Mode::Distributed { .. } => {
+            Mode::Streaming | Mode::Sharded(_) | Mode::Distributed { .. } => {
                 // The whole input is staged before the first routing
                 // pass, so records may arrive in any order: the
                 // router's per-entity lanes re-sort them by local time,
@@ -513,8 +503,8 @@ impl Pipeline {
 
     /// Correlates pre-classified activity streams (one per host, each
     /// sorted by local time) — the harness path for synthetic
-    /// activities. Runs through the single-instance drain regardless of
-    /// mode (the sharded reader routes raw records, not activities).
+    /// activities. Runs through the batch drain regardless of mode (the
+    /// session router routes raw records, not activities).
     ///
     /// # Errors
     ///
@@ -530,9 +520,10 @@ impl Pipeline {
     /// Opens an incremental session: push records (or raw log lines) as
     /// they arrive, poll for sealed CAGs, finish for the final output.
     /// The mode decides the machinery underneath — a batch session
-    /// buffers and drains at finish; a streaming session correlates
-    /// online with bounded memory; a sharded session routes to its
-    /// workers as records arrive.
+    /// buffers and drains at finish; a streaming session routes what it
+    /// staged into its engine at every poll and returns the CAGs sealed
+    /// so far; a sharded or distributed session routes to its workers
+    /// as records arrive and emits at finish.
     ///
     /// # Errors
     ///
@@ -549,8 +540,7 @@ impl Pipeline {
                         finished: false,
                     }
                 }
-                Mode::Streaming => SessionInner::Streaming(StreamingCorrelator::new(cfg)?),
-                Mode::Sharded(_) | Mode::Distributed { .. } => {
+                Mode::Streaming | Mode::Sharded(_) | Mode::Distributed { .. } => {
                     SessionInner::Cluster(Cluster::new(&self.config)?)
                 }
             },
@@ -566,7 +556,6 @@ enum SessionInner {
         buffered: Vec<RawRecord>,
         finished: bool,
     },
-    Streaming(StreamingCorrelator),
     Cluster(Cluster),
 }
 
@@ -579,7 +568,9 @@ pub struct PipelineSession {
 }
 
 impl PipelineSession {
-    /// Pushes one raw record.
+    /// Pushes one raw record. A streaming session only stages it (the
+    /// next [`Self::poll`] routes it), so pushing a whole input before
+    /// the first poll correlates exactly like [`Pipeline::run`].
     ///
     /// # Errors
     ///
@@ -595,13 +586,12 @@ impl PipelineSession {
                 buffered.push(rec);
                 Ok(())
             }
-            SessionInner::Streaming(sc) => sc.push(rec),
             SessionInner::Cluster(c) => c.push(&rec),
         }
     }
 
-    /// Parses and pushes one TCP_TRACE log line (zero-copy in sharded
-    /// mode).
+    /// Parses and pushes one TCP_TRACE log line (zero-copy in the
+    /// router modes).
     ///
     /// # Errors
     ///
@@ -616,8 +606,10 @@ impl PipelineSession {
 
     /// Returns the CAGs sealed since the last poll. Batch sessions
     /// correlate only at [`Self::finish`] and always return an empty
-    /// vector; sharded sessions flush their worker batches and emit at
-    /// finish.
+    /// vector; streaming sessions route everything pushed so far and
+    /// return the CAGs their engine sealed, with ids in emission order;
+    /// sharded and distributed sessions flush their worker batches and
+    /// emit at finish.
     ///
     /// # Errors
     ///
@@ -630,43 +622,42 @@ impl PipelineSession {
                 }
                 Ok(Vec::new())
             }
-            SessionInner::Streaming(sc) => sc.poll(),
-            SessionInner::Cluster(c) => {
-                c.flush()?;
-                Ok(Vec::new())
-            }
+            SessionInner::Cluster(c) => c.poll(),
         }
     }
 
     /// Current approximate resident bytes of the session's correlation
-    /// state (buffered records for a batch session; window buffers +
-    /// engine state for streaming; reader-side router state for
-    /// sharded).
+    /// state: buffered records for a batch session; router state plus
+    /// engine state for a streaming session; reader-side router state
+    /// and undelivered batches for a sharded or distributed session,
+    /// whose workers bound their own state by the per-shard budget.
     pub fn approx_bytes(&self) -> usize {
         match &self.inner {
             SessionInner::Batch { buffered, .. } => {
                 buffered.len() * std::mem::size_of::<RawRecord>()
             }
-            SessionInner::Streaming(sc) => sc.approx_bytes(),
-            SessionInner::Cluster(c) => c.approx_router_bytes(),
+            SessionInner::Cluster(c) => c.approx_bytes(),
         }
     }
 
     /// Live spill-tier counters `(objects spilled, faults)` of the
     /// session's correlation state. Streaming sessions report their
-    /// correlator's counters; batch buffers nothing spillable and
-    /// sharded workers own their state privately until the final drain,
-    /// so both report `(0, 0)` here (the drain metrics carry the
+    /// engine's counters; batch buffers nothing spillable and sharded
+    /// or distributed workers own their state privately until the final
+    /// drain, so both report `(0, 0)` here (the drain metrics carry the
     /// totals).
     pub fn spill_counters(&self) -> (u64, u64) {
         match &self.inner {
-            SessionInner::Streaming(sc) => sc.spill_counters(),
-            _ => (0, 0),
+            SessionInner::Batch { .. } => (0, 0),
+            SessionInner::Cluster(c) => c.spill_counters(),
         }
     }
 
     /// Ends the input and returns the final output (remaining finished
-    /// CAGs plus deformed paths). The session is spent afterwards.
+    /// CAGs plus deformed paths). A router-mode session returns them in
+    /// canonical root order, with ids numbered on after the CAGs it
+    /// already emitted by [`Self::poll`]. The session is spent
+    /// afterwards.
     ///
     /// # Errors
     ///
@@ -684,7 +675,6 @@ impl PipelineSession {
                 *finished = true;
                 Correlator::new(config.clone()).correlate(std::mem::take(buffered))
             }
-            SessionInner::Streaming(sc) => sc.finish(),
             SessionInner::Cluster(c) => c.finish(),
         }
     }

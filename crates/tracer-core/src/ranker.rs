@@ -167,7 +167,7 @@ pub struct RankerCounters {
     pub fetch_boosts: u64,
     /// RECEIVEs discarded as noise (`is_noise`).
     pub noise_discards: u64,
-    /// Sharded mode: parked lane heads force-settled by the
+    /// Session-router modes: parked lane heads force-settled by the
     /// bounded-age settle rule
     /// ([`crate::correlator::CorrelatorConfig::lane_settle_depth`])
     /// before end of input.

@@ -15,9 +15,9 @@
 //!   [`crate::correlator::CorrelatorConfig::memory_budget`] (cold
 //!   state pages out to the disk spill tier by default, keeping recall
 //!   intact; [`crate::correlator::CorrelatorConfig::shed_on_budget`]
-//!   evicts it outright instead) and the ranker's sliding window; the
-//!   drain removes every spill artifact the process created;
-//! * sharded router state is bounded by the bounded-age settle rule
+//!   evicts it outright instead); the drain removes every spill
+//!   artifact the process created;
+//! * session router state is bounded by the bounded-age settle rule
 //!   ([`crate::correlator::CorrelatorConfig::lane_settle_depth`]) and
 //!   the channel-idle GC
 //!   ([`crate::correlator::CorrelatorConfig::channel_idle_horizon`]),
@@ -105,7 +105,7 @@ pub enum ShedPolicy {
 /// Configuration for [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// The correlation pipeline (mode, window, budgets). Batch mode is
+    /// The correlation pipeline (mode, budgets). Batch mode is
     /// rejected — it buffers the whole stream.
     pub pipeline: PipelineConfig,
     /// Sources to tail concurrently.
@@ -445,10 +445,14 @@ impl Server {
     /// [`ServeConfig::idle_end`]) or `stop` becomes true, then drains
     /// the correlator and reports.
     ///
-    /// Sealed CAGs stream to the sink continuously in streaming mode;
-    /// a sharded session correlates online but emits its CAGs in the
-    /// final drain (the merge is global), so its sink only sees KPIs
-    /// until the end.
+    /// Sealed CAGs stream to the sink continuously in streaming mode:
+    /// the session router parks only the execution entities waiting
+    /// for a claim, so untraced-peer noise at the head of a host's
+    /// stream does not hold the others back. A sharded or distributed
+    /// session correlates online but emits its CAGs in the final drain
+    /// (the merge is global), so its sink only sees KPIs until the end.
+    /// Drained CAGs come in canonical root order with ids numbered on
+    /// after the live ones.
     ///
     /// # Errors
     ///
@@ -543,7 +547,7 @@ impl Server {
         });
         result?;
 
-        let mut output = session.finish()?;
+        let output = session.finish()?;
         // Release the spill tier (dropping the session runs every
         // `SpillFile` destructor, which unlinks its file), then sweep
         // the spill dir for any artifact this process still left
@@ -555,7 +559,9 @@ impl Server {
             let dir = cc.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
             crate::spill::sweep_process_spill_files(&dir);
         }
-        output.canonicalize();
+        // The drain arrives in canonical root order, numbered on after
+        // the CAGs already emitted live: no id repeats across the sink
+        // and the report.
         live.patterns.add_all(output.cags.iter());
         let report = ServeReport {
             sources: self
@@ -966,6 +972,69 @@ mod tests {
         log
     }
 
+    /// A time-merged two-tier log whose frontend host opens with
+    /// untraced-peer ssh chatter: a RECEIVE that no traced send will
+    /// ever claim, 100 ms (ten default windows) before the first
+    /// request. Worker threads are pooled, so each request's CAG seals
+    /// once its thread serves the next one.
+    fn noisy_frontend_log(requests: u64) -> String {
+        let mut log = String::from("1000 web sshd 3 3 RECEIVE 172.16.0.50:52000-10.0.0.1:22 48\n");
+        for i in 0..requests {
+            let base = 100_000_000 + i * 10_000;
+            let client = format!("192.168.0.9:{}", 5000 + i);
+            let port = 4001 + i;
+            let (web, app) = (7 + i % 4, 21 + i % 4);
+            for line in [
+                format!("{base} web httpd 7 {web} RECEIVE {client}-10.0.0.1:80 120"),
+                format!(
+                    "{} web httpd 7 {web} SEND 10.0.0.1:{port}-10.0.0.2:8009 64",
+                    base + 1000
+                ),
+                format!(
+                    "{} app java 9 {app} RECEIVE 10.0.0.1:{port}-10.0.0.2:8009 64",
+                    base + 1500
+                ),
+                format!(
+                    "{} app java 9 {app} SEND 10.0.0.2:8009-10.0.0.1:{port} 256",
+                    base + 2000
+                ),
+                format!(
+                    "{} web httpd 7 {web} RECEIVE 10.0.0.2:8009-10.0.0.1:{port} 256",
+                    base + 3500
+                ),
+                format!(
+                    "{} web httpd 7 {web} SEND 10.0.0.1:80-{client} 512",
+                    base + 4000
+                ),
+            ] {
+                log.push_str(&line);
+                log.push('\n');
+            }
+        }
+        log
+    }
+
+    /// The batch run of `log`, rendered.
+    fn batch_render(log: &str) -> String {
+        let out = Pipeline::new(PipelineConfig::new(access()))
+            .unwrap()
+            .run(crate::pipeline::Source::text(log))
+            .unwrap();
+        format!("{:?}|{:?}", out.cags, out.unfinished)
+    }
+
+    /// Live and drained CAGs joined and canonicalized, rendered.
+    fn combined_render(live: Vec<Cag>, drained: &CorrelationOutput) -> String {
+        let mut out = CorrelationOutput {
+            cags: live,
+            unfinished: drained.unfinished.clone(),
+            ..CorrelationOutput::default()
+        };
+        out.cags.extend(drained.cags.iter().cloned());
+        out.canonicalize();
+        format!("{:?}|{:?}", out.cags, out.unfinished)
+    }
+
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("pt-serve-test-{}-{name}", std::process::id()))
     }
@@ -1151,5 +1220,65 @@ mod tests {
         std::fs::remove_file(&path).ok();
         assert_eq!(report.cags_sealed, 0, "sharded seals at the final drain");
         assert_eq!(report.total_cags(), 20, "{}", report.stats_line());
+    }
+
+    #[test]
+    fn streaming_session_seals_past_untraced_peer_noise() {
+        // The ssh RECEIVE heads the frontend host's stream and is only
+        // provably noise at the end of input. It parks its own entity,
+        // not the host: CAGs seal while records still arrive.
+        let log = noisy_frontend_log(200);
+        let p = Pipeline::new(PipelineConfig::new(access()).with_mode(Mode::Streaming)).unwrap();
+        let mut session = p.session().unwrap();
+        let mut live = Vec::new();
+        for (i, line) in log.lines().enumerate() {
+            session.push_line(line).unwrap();
+            if i % 100 == 99 {
+                live.extend(session.poll().unwrap());
+            }
+        }
+        live.extend(session.poll().unwrap());
+        assert!(!live.is_empty(), "no CAG sealed before finish");
+        let drained = session.finish().unwrap();
+        assert_eq!(live.len() + drained.cags.len(), 200);
+        assert_eq!(drained.metrics.ranker.noise_discards, 1);
+        assert_eq!(combined_render(live, &drained), batch_render(&log));
+    }
+
+    #[test]
+    fn serve_seals_live_past_untraced_peer_noise_with_unique_ids() {
+        // Several tailer reads, so the server polls mid-stream.
+        let log = noisy_frontend_log(800);
+        assert!(log.len() > 2 * READ_CHUNK);
+        let path = tmp("noisy.log");
+        std::fs::write(&path, &log).unwrap();
+        struct Keep(Vec<Cag>);
+        impl ServeSink for Keep {
+            fn on_sealed(&mut self, cags: &[Cag]) {
+                self.0.extend_from_slice(cags);
+            }
+        }
+        let server = Server::new(quick_config(vec![SourceSpec::auto(&path)])).unwrap();
+        let mut sink = Keep(Vec::new());
+        let report = server.run(&mut sink, &AtomicBool::new(false)).unwrap();
+        std::fs::remove_file(&path).ok();
+        let stats = report.stats_line();
+        assert!(report.cags_sealed > 0, "{stats}");
+        assert_eq!(report.cags_sealed, sink.0.len() as u64);
+        assert!(!report.output.cags.is_empty(), "{stats}");
+        assert_eq!(report.total_cags(), 800, "{stats}");
+        // Drained ids continue after the live ones.
+        let mut ids: Vec<u64> = sink
+            .0
+            .iter()
+            .chain(&report.output.cags)
+            .chain(&report.output.unfinished)
+            .map(|c| c.id)
+            .collect();
+        let n = ids.len();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), n, "a CAG id repeats across sink and drain");
+        assert_eq!(combined_render(sink.0, &report.output), batch_render(&log));
     }
 }

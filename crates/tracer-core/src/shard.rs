@@ -1,5 +1,6 @@
-//! Sharded parallel correlation (the follow-up paper's "online at
-//! scale" requirement).
+//! The session-router cluster host behind every mode but batch: online
+//! correlation (the follow-up paper's "online at scale" requirement),
+//! in one thread or in parallel.
 //!
 //! Candidate selection is inherently sequential *within* one
 //! access-point session, but sessions are independent: every activity
@@ -22,12 +23,20 @@
 //!   point, consistent-hashed over the shard count. Internal activities
 //!   follow their session through channel/context affinity tracking
 //!   (the reader is sequential, so the routing is deterministic).
-//! * Each **worker** owns a [`StreamingCorrelator`] fed through a
-//!   bounded SPSC channel (back-pressure bounds memory) and correlates
-//!   its shard's sessions while the reader keeps parsing. The workers
-//!   are threads of this process (`Mode::Sharded`) or live behind PTDC
-//!   router peers (`Mode::Distributed`, see [`crate::dist`]); either
-//!   backend sees the same batches, so the output is the same.
+//! * Each **worker** owns a direct-delivery [`StreamingCorrelator`]
+//!   and correlates its shard's sessions. Three backends host them:
+//!   - *inline* (`Mode::Streaming`): one engine in the caller's thread,
+//!     fed each routed message at once — no thread, channel or wire. A
+//!     session routes at every poll and returns the CAGs sealed so far.
+//!   - *threads* (`Mode::Sharded`): worker threads of this process, fed
+//!     through bounded SPSC channels (back-pressure bounds memory) while
+//!     the reader keeps parsing.
+//!   - *peers* (`Mode::Distributed`, see [`crate::dist`]): worker
+//!     blocks behind PTDC router peers.
+//!
+//!   The thread and peer backends see the same batches, and every
+//!   backend sees the same message sequence per shard, so the merged
+//!   output is the same.
 //! * The **merge** stage re-sequences the union of all sealed CAGs into
 //!   a canonical deterministic order — sorted by CAG root (the BEGIN's
 //!   timestamp, context and channel), ids renumbered sequentially — so
@@ -1231,14 +1240,17 @@ impl ReaderCore {
 
     /// Canonical deterministic merge: the union of all shards' CAGs,
     /// finished and unfinished alike, sorted by their root BEGIN
-    /// (timestamp, context, channel) and renumbered sequentially — the
-    /// same id a single-shard run assigns on single-frontend-host logs,
-    /// where BEGIN delivery order is BEGIN timestamp order. `outputs`
+    /// (timestamp, context, channel) and renumbered sequentially from
+    /// `first_id` — from zero, the same id a single-shard run assigns on
+    /// single-frontend-host logs, where BEGIN delivery order is BEGIN
+    /// timestamp order. A session passes the count of CAGs it already
+    /// emitted live, so no id repeats across its output. `outputs`
     /// must arrive in global shard order so capped diagnostics (noise
     /// samples) truncate identically for every topology.
     pub(crate) fn merge(
         &mut self,
         outputs: Vec<CorrelationOutput>,
+        first_id: u64,
         started: Instant,
     ) -> CorrelationOutput {
         let mut all: Vec<Cag> = Vec::new();
@@ -1279,8 +1291,8 @@ impl ReaderCore {
         });
         let mut cags = Vec::with_capacity(all.len());
         let mut unfinished = Vec::new();
-        for (i, mut cag) in all.into_iter().enumerate() {
-            cag.id = i as u64;
+        for (id, mut cag) in (first_id..).zip(all) {
+            cag.id = id;
             if cag.finished {
                 cags.push(cag);
             } else {
@@ -1310,6 +1322,17 @@ pub(crate) fn worker_config(config: &CorrelatorConfig, n: usize) -> CorrelatorCo
     wc
 }
 
+/// Hands one routed message to a direct-delivery engine.
+fn deliver(sc: &mut StreamingCorrelator, msg: ShardMsg) -> Result<(), TraceError> {
+    match msg {
+        ShardMsg::Act(a) => sc.push_activity(a),
+        ShardMsg::ForgetCtx(ctx) => {
+            sc.forget_ctx(&ctx);
+            Ok(())
+        }
+    }
+}
+
 /// One shard worker's drain loop: correlate batches as they arrive,
 /// stream sealed CAGs out, finish when the feeding side hangs up.
 /// Shared by the in-process sharded pipeline and the distributed
@@ -1321,10 +1344,7 @@ pub(crate) fn run_worker(
     let mut cags = Vec::new();
     for batch in rx {
         for msg in batch {
-            match msg {
-                ShardMsg::Act(a) => sc.push_activity(a)?,
-                ShardMsg::ForgetCtx(ctx) => sc.forget_ctx(&ctx),
-            }
+            deliver(&mut sc, msg)?;
         }
         cags.extend(sc.poll()?);
     }
@@ -1397,8 +1417,13 @@ impl Drop for WorkerThreads {
 }
 
 /// Where a [`Cluster`] ships its batches.
+#[allow(clippy::large_enum_variant)] // one backend per session
 #[derive(Debug)]
 enum Backend {
+    /// One direct-delivery engine in the caller's thread
+    /// ([`Mode::Streaming`]): routed messages go straight to it, with
+    /// no worker thread, channel or wire in between.
+    Inline(StreamingCorrelator),
     /// In-process worker threads ([`Mode::Sharded`]).
     Threads(WorkerThreads),
     /// Router peers over PTDC ([`Mode::Distributed`]).
@@ -1408,6 +1433,7 @@ enum Backend {
 impl Backend {
     fn send(&mut self, shard: usize, batch: Vec<ShardMsg>) -> Result<(), TraceError> {
         match self {
+            Backend::Inline(sc) => batch.into_iter().try_for_each(|m| deliver(sc, m)),
             Backend::Threads(t) => t.send(shard, batch),
             Backend::Peers(p) => p.send(shard, &batch),
         }
@@ -1415,8 +1441,8 @@ impl Backend {
 
     fn flush(&mut self) -> Result<(), TraceError> {
         match self {
-            // Channels hold no buffered bytes.
-            Backend::Threads(_) => Ok(()),
+            // Neither the engine nor the channels buffer bytes.
+            Backend::Inline(_) | Backend::Threads(_) => Ok(()),
             Backend::Peers(p) => p.flush(),
         }
     }
@@ -1424,72 +1450,102 @@ impl Backend {
     /// Collects every worker's output in global shard order.
     fn finish(&mut self) -> Result<Vec<CorrelationOutput>, TraceError> {
         match self {
+            Backend::Inline(sc) => Ok(vec![sc.finish()?]),
             Backend::Threads(t) => t.join(),
             Backend::Peers(p) => p.finish(),
         }
     }
 }
 
-/// The cluster host behind [`Mode::Sharded`] and [`Mode::Distributed`];
-/// callers reach it through [`crate::pipeline::Pipeline`]. One
-/// [`ReaderCore`] routes every record to a global shard, batches of
-/// `BATCH_RECORDS` messages travel to the backend, and the canonical
-/// merge joins the workers' outputs. See the module docs for the
-/// architecture and the output-order contract.
+/// The cluster host behind [`Mode::Streaming`], [`Mode::Sharded`] and
+/// [`Mode::Distributed`]; callers reach it through
+/// [`crate::pipeline::Pipeline`]. One [`ReaderCore`] routes every
+/// record to a global shard. The inline backend delivers each routed
+/// message to its one engine at once; the worker backends receive
+/// batches of `BATCH_RECORDS` messages. The canonical merge joins the
+/// outputs at finish. See the module docs for the architecture and the
+/// output-order contract.
 #[derive(Debug)]
 pub(crate) struct Cluster {
     core: ReaderCore,
-    /// Per-shard batch under construction.
+    /// Per-shard batch under construction (empty for the inline
+    /// backend, which takes no batches).
     pending: Vec<Vec<ShardMsg>>,
     backend: Backend,
+    /// CAGs handed out by [`Self::poll`] so far: live CAGs are numbered
+    /// in emission order, and the final merge numbers on from here.
+    emitted: u64,
     started: Instant,
     finished: bool,
 }
 
 impl Cluster {
-    /// Starts the workers of a validated sharded or distributed
-    /// pipeline configuration. A configured
+    /// Starts the engines of a validated streaming, sharded or
+    /// distributed pipeline configuration. A configured
     /// [`CorrelatorConfig::memory_budget`] is split evenly across the
     /// shards, so the configured total still bounds resident state.
     ///
     /// # Errors
     ///
     /// Returns a [`TraceError::Router`] when a router peer cannot be
-    /// reached.
+    /// reached, and a configuration error when the spill file cannot be
+    /// created.
     pub(crate) fn new(p: &PipelineConfig) -> Result<Self, TraceError> {
         let shards = p.shards();
         let wc = worker_config(&p.correlator, shards);
         let backend = match p.mode {
+            Mode::Streaming => Backend::Inline(StreamingCorrelator::direct_for_activities(wc)?),
             Mode::Distributed { routers, .. } => Backend::Peers(crate::dist::Peers::connect(
                 &wc,
                 routers,
                 shards / routers,
                 &p.router_transport,
             )?),
-            _ => Backend::Threads(WorkerThreads::spawn(&wc, shards)?),
+            Mode::Batch | Mode::Sharded(_) => Backend::Threads(WorkerThreads::spawn(&wc, shards)?),
+        };
+        let pending = match backend {
+            Backend::Inline(_) => Vec::new(),
+            _ => vec![Vec::with_capacity(BATCH_RECORDS); shards],
         };
         Ok(Cluster {
             core: ReaderCore::new(&p.correlator, shards as u32),
-            pending: vec![Vec::with_capacity(BATCH_RECORDS); shards],
+            pending,
             backend,
+            emitted: 0,
             started: Instant::now(),
             finished: false,
         })
     }
 
-    /// Approximate resident bytes of the reader-side routing state:
-    /// deferred/noise lanes, per-channel claim FIFOs, waiter lists and
-    /// undelivered shard batches. Worker-side correlation state is
-    /// bounded separately (per-shard memory budget); this gauge covers
-    /// the part only the router holds — the state that grows on an
-    /// endless stream with heavy untraced-peer noise.
-    pub(crate) fn approx_router_bytes(&self) -> usize {
+    /// Approximate resident bytes of the host's correlation state: the
+    /// reader-side routing state (deferred/noise lanes, per-channel
+    /// claim FIFOs, waiter lists, dedup coverage), undelivered shard
+    /// batches and, for the inline backend, its engine. Worker-side
+    /// state of the thread and peer backends is bounded separately
+    /// (per-shard memory budget) and not counted here.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        let engine = match &self.backend {
+            Backend::Inline(sc) => sc.approx_bytes(),
+            _ => 0,
+        };
         self.core.approx_bytes()
+            + engine
             + self
                 .pending
                 .iter()
                 .map(|b| b.len() * std::mem::size_of::<ShardMsg>())
                 .sum::<usize>()
+    }
+
+    /// Live spill-tier counters `(objects spilled, faults)` of the
+    /// inline engine. Workers of the thread and peer backends own their
+    /// state privately until the final drain, so they report `(0, 0)`
+    /// here; the drain metrics carry the totals.
+    pub(crate) fn spill_counters(&self) -> (u64, u64) {
+        match &self.backend {
+            Backend::Inline(sc) => sc.spill_counters(),
+            _ => (0, 0),
+        }
     }
 
     fn guard(&self) -> Result<(), TraceError> {
@@ -1500,7 +1556,8 @@ impl Cluster {
         }
     }
 
-    /// Routes everything currently routable, shipping every batch that
+    /// Routes everything currently routable: straight into the inline
+    /// engine, or into per-shard batches, shipping every batch that
     /// reaches `BATCH_RECORDS`. `final_input` additionally breaks stuck
     /// states so the staging area fully drains.
     fn pump(&mut self, final_input: bool) -> Result<(), TraceError> {
@@ -1510,6 +1567,9 @@ impl Cluster {
             backend,
             ..
         } = self;
+        if let Backend::Inline(sc) = backend {
+            return core.pump(final_input, &mut |m, _| deliver(sc, m));
+        }
         core.pump(final_input, &mut |m, shard| {
             let shard = shard as usize;
             pending[shard].push(m);
@@ -1539,8 +1599,11 @@ impl Cluster {
         self.core.stage_ref(r);
     }
 
-    /// Routes one owned raw record, streaming everything currently
-    /// routable to the workers.
+    /// Stages one owned raw record. The worker backends then route
+    /// everything currently routable to their workers; the inline
+    /// backend routes at the next [`Self::poll`], so pushing a whole
+    /// input before the first poll routes it exactly like
+    /// [`crate::pipeline::Pipeline::run`] does.
     ///
     /// Records of one host must arrive in local-timestamp order (small
     /// inversions are re-sorted, like the ranker's staging queues);
@@ -1551,7 +1614,8 @@ impl Cluster {
     /// Mid-stream, a RECEIVE whose channel has no known send yet
     /// defers inside the router — including untraced-peer noise,
     /// because a not-yet-arrived send is indistinguishable from one
-    /// that never existed. Such heads settle at [`Self::finish`], or
+    /// that never existed. Only that entity's lane parks; the other
+    /// lanes keep routing. Such heads settle at [`Self::finish`], or
     /// earlier under the bounded-age settle rule
     /// ([`CorrelatorConfig::lane_settle_depth`], on by default), which
     /// keeps router state bounded on endless noisy streams.
@@ -1563,11 +1627,11 @@ impl Cluster {
     pub(crate) fn push(&mut self, rec: &RawRecord) -> Result<(), TraceError> {
         self.guard()?;
         self.core.stage_ref(&rec.as_record_ref());
-        self.pump(false)
+        self.route_on_push()
     }
 
-    /// Parses and routes one TCP_TRACE log line through the zero-copy
-    /// ingest path.
+    /// Parses and stages one TCP_TRACE log line through the zero-copy
+    /// ingest path, routing like [`Self::push`].
     ///
     /// # Errors
     ///
@@ -1576,26 +1640,50 @@ impl Cluster {
     pub(crate) fn push_line(&mut self, line: &str) -> Result<(), TraceError> {
         self.guard()?;
         self.core.stage_ref(&RawRecordRef::parse_line(line)?);
-        self.pump(false)
+        self.route_on_push()
     }
 
-    /// Ships all partial batches (the workers keep correlating; use
-    /// before a lull to bound shard input latency).
+    fn route_on_push(&mut self) -> Result<(), TraceError> {
+        match self.backend {
+            Backend::Inline(_) => Ok(()),
+            _ => self.pump(false),
+        }
+    }
+
+    /// Returns the CAGs sealed since the last poll. The inline backend
+    /// routes everything staged into its engine and returns the CAGs
+    /// sealed at the engine's sampling boundaries, numbered on in
+    /// emission order. The worker backends ship their partial batches
+    /// (the workers keep correlating; use before a lull to bound shard
+    /// input latency) and return nothing: they emit at
+    /// [`Self::finish`], because the merge is global.
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::Finished`] after [`Self::finish`].
-    pub(crate) fn flush(&mut self) -> Result<(), TraceError> {
+    /// Returns [`TraceError::Finished`] after [`Self::finish`], or an
+    /// error when a worker or router peer died.
+    pub(crate) fn poll(&mut self) -> Result<Vec<Cag>, TraceError> {
         self.guard()?;
-        self.send_pending()?;
-        self.backend.flush()
+        self.pump(false)?;
+        let Backend::Inline(sc) = &mut self.backend else {
+            self.send_pending()?;
+            self.backend.flush()?;
+            return Ok(Vec::new());
+        };
+        let mut cags = sc.poll()?;
+        for cag in &mut cags {
+            cag.id = self.emitted;
+            self.emitted += 1;
+        }
+        Ok(cags)
     }
 
     /// Closes the cluster: drains the router completely (deferred
     /// receives resolve, stuck states break by promotion), ships the
-    /// last batches, collects every worker's output in global shard
+    /// last batches, collects every engine's output in global shard
     /// order and merges them into the canonical deterministic order
-    /// (see the module docs). The host is spent afterwards.
+    /// (see the module docs), numbered on after the CAGs already
+    /// polled. The host is spent afterwards.
     ///
     /// # Errors
     ///
@@ -1607,7 +1695,7 @@ impl Cluster {
         self.send_pending()?;
         self.finished = true;
         let outputs = self.backend.finish()?;
-        Ok(self.core.merge(outputs, self.started))
+        Ok(self.core.merge(outputs, self.emitted, self.started))
     }
 }
 
@@ -1824,7 +1912,7 @@ mod tests {
             .parse()
             .unwrap();
         assert_eq!(sc.push(&rec), Err(TraceError::Finished));
-        assert_eq!(sc.flush(), Err(TraceError::Finished));
+        assert_eq!(sc.poll(), Err(TraceError::Finished));
         assert!(matches!(sc.finish(), Err(TraceError::Finished)));
     }
 
@@ -2117,9 +2205,9 @@ mod tests {
                     t + 5
                 ))
                 .unwrap();
-                peak = peak.max(sc.approx_router_bytes());
+                peak = peak.max(sc.approx_bytes());
             }
-            (sc.approx_router_bytes(), peak)
+            (sc.approx_bytes(), peak)
         };
         let (no_gc, _) = run(CorrelatorConfig::new(access()));
         let (gc, gc_peak) = run(CorrelatorConfig::new(access()).with_channel_idle_horizon(64));
@@ -2204,14 +2292,56 @@ mod tests {
     }
 
     #[test]
+    fn inline_gauges_cover_router_and_engine() {
+        // 200 open requests under a 4 KiB budget: the engine holds (and
+        // spills) their unfinished CAGs while the router parks a noise
+        // receive. The session gauges must see both sides.
+        let cfg = CorrelatorConfig::new(access())
+            .with_memory_budget(4 << 10)
+            .with_spill_dir(std::env::temp_dir());
+        let p = PipelineConfig::from(cfg).with_mode(Mode::Streaming);
+        p.validate().unwrap();
+        let mut sc = Cluster::new(&p).unwrap();
+        sc.push_line("500 web sshd 3 3 RECEIVE 172.16.0.50:52000-10.0.0.1:22 48")
+            .unwrap();
+        for i in 0..200u64 {
+            sc.push_line(&format!(
+                "{} web httpd 7 {} RECEIVE 192.168.0.9:{}-10.0.0.1:80 120",
+                1_000 + i,
+                7 + i,
+                5000 + i
+            ))
+            .unwrap();
+        }
+        assert!(sc.poll().unwrap().is_empty());
+        let Backend::Inline(engine) = &sc.backend else {
+            panic!("streaming runs the inline backend");
+        };
+        let (router, engine_bytes) = (sc.core.approx_bytes(), engine.approx_bytes());
+        assert!(router > 0 && engine_bytes > 0, "{router} {engine_bytes}");
+        assert_eq!(sc.approx_bytes(), router + engine_bytes);
+        let counters = engine.spill_counters();
+        assert!(counters.0 > 0, "a 4 KiB budget must spill: {counters:?}");
+        assert_eq!(sc.spill_counters(), counters);
+        // The worker backends keep their state private until the drain.
+        let mut sharded = host(CorrelatorConfig::new(access()), 2).unwrap();
+        sharded
+            .push_line("1000 web httpd 7 7 RECEIVE 192.168.0.9:5000-10.0.0.1:80 120")
+            .unwrap();
+        assert!(sharded.poll().unwrap().is_empty(), "ships the batch only");
+        assert_eq!(sharded.spill_counters(), (0, 0));
+        assert_eq!(sharded.approx_bytes(), sharded.core.approx_bytes());
+    }
+
+    #[test]
     fn approx_router_bytes_is_exposed() {
         let mut sc = host(CorrelatorConfig::new(access()), 2).unwrap();
-        let base = sc.approx_router_bytes();
+        let base = sc.approx_bytes();
         // An orphan receive on an unclaimed channel defers in the
         // router until finish.
         sc.push_line("902000 db mysqld 5 77 RECEIVE 172.16.9.9:6000-10.0.0.3:3306 48")
             .unwrap();
-        assert!(sc.approx_router_bytes() > base);
+        assert!(sc.approx_bytes() > base);
         let out = sc.finish().unwrap();
         assert_eq!(out.metrics.ranker.noise_discards, 1);
     }

@@ -155,12 +155,14 @@ SERVE OPTIONS:
   --print-paths        print one line per sealed causal path
   plus the correlation options --window-ms, --adaptive-window,
   --memory-budget, --spill-dir, --shed-on-budget, --shards and
-  --max-seal-lag. Without --shards the
-  daemon runs the streaming engine and emits each path as it seals;
-  with --shards it correlates online but emits paths at the final
-  drain (the merge is global). On SIGINT/SIGTERM the daemon stops
-  tailing, drains what is sealable, prints the final stats line and
-  exits 0.
+  --max-seal-lag. Without --shards or --routers the daemon routes
+  records through the session router into one engine in its own thread
+  and emits each path as it seals; with them it correlates online but
+  emits paths at the final drain (the merge is global). The daemon
+  never uses the sliding window, so --window-ms and --adaptive-window
+  have no effect here (the daemon prints a note). On SIGINT/SIGTERM
+  the daemon stops tailing, drains what is sealable, prints the final
+  stats line and exits 0.
 
 Flags may appear before or after positional arguments; unknown flags
 are rejected. The log format is the paper's TCP_TRACE text format:
@@ -335,20 +337,11 @@ fn correlate_file(
         config = config.with_max_seal_lag(lag);
     }
     let shards = args.parse_opt::<usize>("--shards")?;
-    if (shards.is_some() || args.opt("--routers").is_some())
-        && (args.flag("--adaptive-window") || args.opt("--window-ms").is_some())
-    {
-        // The sharded router sequences by causal claims, not by a
-        // sliding time window; workers deliver directly to engines.
-        eprintln!(
-            "note: --shards/--routers do not use the sliding window; \
-             --window-ms/--adaptive-window only affect single-instance mode"
-        );
-    }
     // One facade for every mode: batch parses owned records; the
     // sharded pipeline ingests the text zero-copy and emits canonical
     // root order (same bytes for any shard count).
     let (mode, router_transport) = mode_from(args, shards)?;
+    note_unused_window(args, mode);
     let pipeline = Pipeline::new(PipelineConfig {
         correlator: config,
         mode,
@@ -364,6 +357,19 @@ fn correlate_file(
     };
     let out = pipeline.run(source).map_err(|e| format!("{path}: {e}"))?;
     Ok((out, access))
+}
+
+/// Tells the user when a window flag has no effect: only batch mode
+/// selects candidates with the sliding window; the session router
+/// behind every other mode sequences by causal claims instead.
+fn note_unused_window(args: &ParsedArgs, mode: Mode) {
+    if mode != Mode::Batch && (args.flag("--adaptive-window") || args.opt("--window-ms").is_some())
+    {
+        eprintln!(
+            "note: the session router does not use the sliding window; \
+             --window-ms/--adaptive-window only affect `pt correlate` without --shards/--routers"
+        );
+    }
 }
 
 /// Resolves the correlation mode from `--shards` / `--routers` /
@@ -637,6 +643,7 @@ fn serve_cmd(raw: &[String]) -> Result<(), String> {
         (Mode::Batch, t) => (Mode::Streaming, t),
         resolved => resolved,
     };
+    note_unused_window(&args, mode);
     let kind = match args.opt("--format").map(String::as_str) {
         None | Some("auto") => SourceKind::Auto,
         Some("text") => SourceKind::Text,

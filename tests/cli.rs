@@ -1202,6 +1202,55 @@ fn serve_follows_a_file_to_idle_end_and_reports() {
     assert!(stdout.contains("path: root_ts="), "{stdout}");
 }
 
+/// Only batch correlation uses the sliding window: `pt serve` (in
+/// every mode) and `pt correlate --shards` print the same note when
+/// given a window flag, and batch `pt correlate` stays quiet.
+#[test]
+fn window_flags_note_that_the_session_router_ignores_them() {
+    const NOTE: &str = "note: the session router does not use the sliding window";
+    let log = TmpFile::new("window-note.log");
+    let out = pt()
+        .args([
+            "simulate",
+            "--clients",
+            "4",
+            "--seconds",
+            "4",
+            "--seed",
+            "9",
+        ])
+        .args(["--out", log.as_str()])
+        .output()
+        .expect("run pt simulate");
+    assert!(out.status.success());
+    let access = ["--port", "80", "--internal", INTERNAL];
+    let run = |args: &[&str]| {
+        let out = pt().args(args).args(access).output().expect("run pt");
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    let serve = [
+        "serve",
+        log.as_str(),
+        "--idle-end-ms",
+        "200",
+        "--kpi-every",
+        "0",
+    ];
+    for extra in [&["--window-ms", "5"][..], &["--adaptive-window"][..]] {
+        let err = run(&[&serve[..], extra].concat());
+        assert!(err.contains(NOTE), "serve {extra:?}: {err}");
+    }
+    assert!(!run(&serve).contains(NOTE));
+    let correlate = ["correlate", log.as_str(), "--window-ms", "5"];
+    assert!(run(&[&correlate[..], &["--shards", "2"]].concat()).contains(NOTE));
+    assert!(!run(&correlate).contains(NOTE));
+}
+
 #[test]
 fn serve_rejects_bad_flags_by_name() {
     let err = stderr_of(&["serve", "--port", "80", "--internal", INTERNAL]);
