@@ -47,6 +47,10 @@ impl Baseline {
         self.0.push((key.into(), value));
     }
 
+    fn get(&self, key: &str) -> Option<f64> {
+        self.0.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+    }
+
     /// Writes the collected metrics as a flat, sorted JSON object —
     /// trivially diffable between commits.
     fn write(&self, path: &str) {
@@ -147,20 +151,14 @@ fn main() {
         }
     }
     if json {
-        // Regression gate against the *checked-in* baseline: a
-        // sharded-speedup drop > 20% fails CI — and leaves the
-        // committed file untouched, so a rerun cannot ratchet the
-        // regressed number into the baseline.
-        let gates = [
-            check_sharded_regression(&base, "BENCH_baseline.json"),
-            check_ingest_regression(&base, "BENCH_baseline.json"),
-            check_binary_regression(&base, "BENCH_baseline.json"),
-            check_serve_regression(&base, "BENCH_baseline.json"),
-            check_spill_regression(&base, "BENCH_baseline.json"),
-            check_dist_regression(&base, "BENCH_baseline.json"),
-        ];
-        if let Some(msg) = gates.into_iter().filter_map(Result::err).next() {
-            eprintln!("BENCH REGRESSION: {msg}");
+        // Regression gates against the *checked-in* baseline: a failed
+        // gate fails CI — and leaves the committed file untouched, so a
+        // rerun cannot ratchet the regressed number into the baseline.
+        let failures = check_gates(&base, "BENCH_baseline.json");
+        if !failures.is_empty() {
+            for msg in &failures {
+                eprintln!("BENCH REGRESSION: {msg}");
+            }
             eprintln!("baseline file left unchanged");
             eprintln!("\ntotal wall time: {:?}", t0.elapsed());
             std::process::exit(1);
@@ -170,205 +168,83 @@ fn main() {
     eprintln!("\ntotal wall time: {:?}", t0.elapsed());
 }
 
-/// Guards sharded throughput against regressions: compares the
-/// freshly measured `scale.sharded_speedup` (sharded vs batch in the
-/// *same run*, so machine speed and runner noise largely cancel)
-/// against the committed baseline file; errors when it regressed more
-/// than 20%. Core count does not cancel, but the committed baseline
-/// is recorded on a single-core container — the floor for the
-/// pipeline's work-reduction win — so multi-core runners only gain
-/// (reader/worker overlap) and the gate stays conservative. Missing
-/// files/keys (first run, partial experiment lists) pass silently.
-fn check_sharded_regression(base: &Baseline, path: &str) -> Result<(), String> {
-    let Some(&(_, current)) = base.0.iter().find(|(k, _)| k == "scale.sharded_speedup") else {
-        return Ok(());
-    };
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Ok(());
-    };
-    let Some(committed) = text
-        .lines()
-        .find(|l| l.contains("\"scale.sharded_speedup\""))
-        .and_then(|l| l.split(':').nth(1))
-        .and_then(|v| v.trim().trim_end_matches(',').parse::<f64>().ok())
-    else {
-        return Ok(());
-    };
-    if current < committed * 0.8 {
-        return Err(format!(
-            "scale.sharded_speedup {current:.2}x fell more than 20% below the \
-             committed baseline {committed:.2}x"
-        ));
-    }
-    eprintln!(
-        "sharded throughput gate: measured {current:.2}x batch vs committed {committed:.2}x — ok"
-    );
-    Ok(())
+/// Which way a gated metric improves.
+#[derive(Clone, Copy)]
+enum Better {
+    Higher,
+    Lower,
 }
 
-/// Guards the parallel ingest front-end the same way: the measured
-/// ingest-vs-batch throughput ratio (same run, so machine speed
-/// cancels) must stay within 20% of the committed
-/// `scale.ingest_vs_batch`. Missing files/keys pass silently.
-fn check_ingest_regression(base: &Baseline, path: &str) -> Result<(), String> {
-    let Some(&(_, current)) = base.0.iter().find(|(k, _)| k == "scale.ingest_vs_batch") else {
-        return Ok(());
-    };
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Ok(());
-    };
-    let Some(committed) = text
-        .lines()
-        .find(|l| l.contains("\"scale.ingest_vs_batch\""))
-        .and_then(|l| l.split(':').nth(1))
-        .and_then(|v| v.trim().trim_end_matches(',').parse::<f64>().ok())
-    else {
-        return Ok(());
-    };
-    if current < committed * 0.8 {
-        return Err(format!(
-            "scale.ingest_vs_batch {current:.2}x fell more than 20% below the \
-             committed baseline {committed:.2}x"
-        ));
-    }
-    eprintln!(
-        "ingest throughput gate: measured {current:.2}x batch vs committed {committed:.2}x — ok"
-    );
-    Ok(())
-}
+/// The `--json` regression gates: (key, direction, tolerance). Each
+/// key is measured within one run — a ratio of two paths over the same
+/// corpus, or a recall — so machine speed cancels. A gate fails when
+/// the measured value is worse than the committed one by more than the
+/// tolerance (a fraction of the committed value).
+///
+/// * `scale.sharded_speedup`: sharded vs batch throughput. The
+///   committed value comes from a single-core container, the floor for
+///   the pipeline's work-reduction win, so multi-core runners only
+///   gain.
+/// * `scale.ingest_vs_batch`: parallel text scan vs batch correlation.
+/// * `scale.binary_vs_text_ingest`: PTBIN decode vs the text scan.
+/// * `scale.serve_recall`: the fault-injected serve soak's recall.
+/// * `scale.spill_vs_batch_wall`: the spill tier's overhead at the
+///   tightest budget (its byte-identity is asserted outright).
+/// * `scale.dist_vs_sharded_wall`: the distributed cluster's overhead
+///   (its CAG identity is asserted outright).
+const GATES: &[(&str, Better, f64)] = &[
+    ("scale.sharded_speedup", Better::Higher, 0.2),
+    ("scale.ingest_vs_batch", Better::Higher, 0.2),
+    ("scale.binary_vs_text_ingest", Better::Higher, 0.2),
+    ("scale.serve_recall", Better::Higher, 0.2),
+    ("scale.spill_vs_batch_wall", Better::Lower, 0.2),
+    ("scale.dist_vs_sharded_wall", Better::Lower, 0.2),
+];
 
-/// Guards the PTBIN decode path the same way: the measured
-/// binary-vs-text ingest ratio (same run, same corpus, so machine
-/// speed cancels) must stay within 20% of the committed
-/// `scale.binary_vs_text_ingest`. Missing files/keys pass silently.
-fn check_binary_regression(base: &Baseline, path: &str) -> Result<(), String> {
-    let Some(&(_, current)) = base
-        .0
-        .iter()
-        .find(|(k, _)| k == "scale.binary_vs_text_ingest")
-    else {
-        return Ok(());
-    };
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Ok(());
-    };
-    let Some(committed) = text
-        .lines()
-        .find(|l| l.contains("\"scale.binary_vs_text_ingest\""))
-        .and_then(|l| l.split(':').nth(1))
-        .and_then(|v| v.trim().trim_end_matches(',').parse::<f64>().ok())
-    else {
-        return Ok(());
-    };
-    if current < committed * 0.8 {
-        return Err(format!(
-            "scale.binary_vs_text_ingest {current:.2}x fell more than 20% below \
-             the committed baseline {committed:.2}x"
-        ));
+/// Checks every gate against the committed baseline file at `path`
+/// and returns the failures. A gated key measured this run fails when
+/// it regressed past its tolerance, when the committed file lacks it
+/// or when the file cannot be read; a gated key not measured this run
+/// is skipped.
+fn check_gates(base: &Baseline, path: &str) -> Vec<String> {
+    let committed = std::fs::read_to_string(path);
+    let mut failures = Vec::new();
+    for &(key, better, tolerance) in GATES {
+        let Some(current) = base.get(key) else {
+            eprintln!("gate {key}: skipped (not measured this run)");
+            continue;
+        };
+        let text = match &committed {
+            Ok(text) => text,
+            Err(e) => {
+                failures.push(format!("{key}: cannot read {path}: {e}"));
+                continue;
+            }
+        };
+        let quoted = format!("\"{key}\"");
+        let Some(old) = text
+            .lines()
+            .find(|l| l.contains(&quoted))
+            .and_then(|l| l.split(':').nth(1))
+            .and_then(|v| v.trim().trim_end_matches(',').parse::<f64>().ok())
+        else {
+            failures.push(format!("{key}: measured {current:.4}, but {path} lacks it"));
+            continue;
+        };
+        let (ok, side) = match better {
+            Better::Higher => (current >= old * (1.0 - tolerance), "below"),
+            Better::Lower => (current <= old * (1.0 + tolerance), "above"),
+        };
+        if ok {
+            eprintln!("gate {key}: measured {current:.4} vs committed {old:.4} — ok");
+        } else {
+            failures.push(format!(
+                "{key} {current:.4} is more than {:.0}% {side} the committed baseline {old:.4}",
+                tolerance * 100.0
+            ));
+        }
     }
-    eprintln!("binary ingest gate: measured {current:.2}x text vs committed {committed:.2}x — ok");
-    Ok(())
-}
-
-/// Guards the online daemon's recall in the fault-injected soak: the
-/// freshly measured `scale.serve_recall` must stay within 20% of the
-/// committed baseline. Missing files/keys pass silently.
-fn check_serve_regression(base: &Baseline, path: &str) -> Result<(), String> {
-    let Some(&(_, current)) = base.0.iter().find(|(k, _)| k == "scale.serve_recall") else {
-        return Ok(());
-    };
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Ok(());
-    };
-    let Some(committed) = text
-        .lines()
-        .find(|l| l.contains("\"scale.serve_recall\""))
-        .and_then(|l| l.split(':').nth(1))
-        .and_then(|v| v.trim().trim_end_matches(',').parse::<f64>().ok())
-    else {
-        return Ok(());
-    };
-    if current < committed * 0.8 {
-        return Err(format!(
-            "scale.serve_recall {current:.4} fell more than 20% below the \
-             committed baseline {committed:.4}"
-        ));
-    }
-    eprintln!("serve soak gate: measured recall {current:.4} vs committed {committed:.4} — ok");
-    Ok(())
-}
-
-/// Guards the spill tier's overhead: the measured spill-vs-batch wall
-/// ratio at the tightest budget (same run, same corpus, so machine
-/// speed cancels) must not grow more than 20% over the committed
-/// `scale.spill_vs_batch_wall`. Recall needs no gate — the scale run
-/// asserts byte-identity outright. Missing files/keys pass silently.
-fn check_spill_regression(base: &Baseline, path: &str) -> Result<(), String> {
-    let Some(&(_, current)) = base
-        .0
-        .iter()
-        .find(|(k, _)| k == "scale.spill_vs_batch_wall")
-    else {
-        return Ok(());
-    };
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Ok(());
-    };
-    let Some(committed) = text
-        .lines()
-        .find(|l| l.contains("\"scale.spill_vs_batch_wall\""))
-        .and_then(|l| l.split(':').nth(1))
-        .and_then(|v| v.trim().trim_end_matches(',').parse::<f64>().ok())
-    else {
-        return Ok(());
-    };
-    if current > committed * 1.2 {
-        return Err(format!(
-            "scale.spill_vs_batch_wall {current:.2}x grew more than 20% over the \
-             committed baseline {committed:.2}x"
-        ));
-    }
-    eprintln!(
-        "spill overhead gate: measured {current:.2}x batch vs committed {committed:.2}x — ok"
-    );
-    Ok(())
-}
-
-/// Guards the distributed cluster's overhead: the measured
-/// distributed-vs-sharded wall ratio (same run, same corpus, so
-/// machine speed cancels) must not grow more than 20% over the
-/// committed `scale.dist_vs_sharded_wall`. Correctness needs no gate —
-/// the scale run asserts identical CAG content outright. Missing
-/// files/keys pass silently.
-fn check_dist_regression(base: &Baseline, path: &str) -> Result<(), String> {
-    let Some(&(_, current)) = base
-        .0
-        .iter()
-        .find(|(k, _)| k == "scale.dist_vs_sharded_wall")
-    else {
-        return Ok(());
-    };
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Ok(());
-    };
-    let Some(committed) = text
-        .lines()
-        .find(|l| l.contains("\"scale.dist_vs_sharded_wall\""))
-        .and_then(|l| l.split(':').nth(1))
-        .and_then(|v| v.trim().trim_end_matches(',').parse::<f64>().ok())
-    else {
-        return Ok(());
-    };
-    if current > committed * 1.2 {
-        return Err(format!(
-            "scale.dist_vs_sharded_wall {current:.2}x grew more than 20% over \
-             the committed baseline {committed:.2}x"
-        ));
-    }
-    eprintln!(
-        "distributed overhead gate: measured {current:.2}x sharded vs committed {committed:.2}x — ok"
-    );
-    Ok(())
+    failures
 }
 
 /// Order- and id-insensitive canonical fingerprint of a CAG set: one
@@ -405,12 +281,12 @@ fn cag_fingerprints(cags: &[Cag]) -> Vec<String> {
 /// The paper-scale streaming stress run (ROADMAP north star): a ≥10⁶
 /// record session correlated (a) in batch, (b) through the streaming
 /// path under an explicit memory budget, (c) with the adaptive window,
-/// (d) under a deliberately starved budget to demonstrate counted
-/// eviction, and (e) through the sharded parallel pipeline, whose CAG
-/// content must equal the batch path's and whose throughput must beat
-/// it. Panics if accuracy degrades, the budget is exceeded, or the
-/// scenario shrinks below 10⁶ records — the CI scale smoke runs
-/// exactly this.
+/// (e) through the sharded parallel pipeline and the distributed
+/// cluster, whose CAG content must equal the batch path's, (f) down a
+/// shrinking spill budget, which must stay byte-identical, and (g)
+/// with the adaptive window under a budget. Panics if accuracy
+/// degrades, the budget is exceeded, or the scenario shrinks below 10⁶
+/// records — the CI scale smoke runs exactly this.
 fn scale_stream(base: &mut Baseline, shards: usize) {
     println!("\n== SCALE: 10^6-record session, streaming-first pipeline ==");
     let t = Instant::now();
@@ -599,7 +475,6 @@ fn scale_stream(base: &mut Baseline, shards: usize) {
         "streaming peak {} bytes exceeds the {BUDGET} byte budget",
         fin.metrics.peak_bytes
     );
-    assert_eq!(fin.metrics.engine.budget_evicted_cags, 0);
     let sacc = out.truth.evaluate(&cags);
     assert!(sacc.is_perfect(), "streaming accuracy regression: {sacc:?}");
 
@@ -615,35 +490,11 @@ fn scale_stream(base: &mut Baseline, shards: usize) {
     assert!(aacc.is_perfect(), "adaptive accuracy regression: {aacc:?}");
     assert!(acorr.metrics.ranker.window_updates > 0);
 
-    // (d) Starved budget under the legacy shed policy: evictions must
-    // be counted, never silent, and the resident set must still respect
-    // the budget at sampling points.
-    let (tight, _) = out
-        .correlate_with(
-            out.correlator_config(Nanos::from_millis(10))
-                .with_memory_budget(1 << 20)
-                .with_shed_on_budget(),
-        )
-        .expect("valid config");
-    assert!(
-        tight.metrics.engine.budget_evicted_cags > 0,
-        "a 1 MiB shed budget must force evictions"
-    );
-    // Even starved below the working set, the resident state stays near
-    // the budget: sheddable state is evicted and the ranker's buffer
-    // cap backstops stuck-state window boosts. What remains is the
-    // unsheddable floor (unsealed finished paths + live contexts).
-    assert!(
-        tight.metrics.peak_bytes <= 2 << 20,
-        "starved-budget peak {} bytes should stay near the 1 MiB budget",
-        tight.metrics.peak_bytes
-    );
-
-    // (f) The spill tier (the budget default): shrink the budget and
-    // walk the budget-vs-recall-vs-latency curve. Unlike shedding,
-    // spilling only changes residency — every step must stay
-    // byte-identical to the unbounded batch run (recall 1.00), and the
-    // tightest step must have actually paged state out and back.
+    // (f) The spill tier: shrink the budget and walk the
+    // budget-vs-recall-vs-latency curve. Spilling only changes
+    // residency — every step must stay byte-identical to the unbounded
+    // batch run (recall 1.00), and the tightest step must have actually
+    // paged state out and back.
     let batch_prints = cag_fingerprints(&corr.cags);
     let mut spill_curve = Vec::new();
     for budget in [8 << 20, 4 << 20, 2 << 20, 1 << 20usize] {
@@ -664,7 +515,6 @@ fn scale_stream(base: &mut Baseline, shards: usize) {
             batch_prints,
             "spill at {budget} B budget diverged from the unbounded batch run"
         );
-        assert_eq!(sp.metrics.engine.budget_evicted_cags, 0);
         let spilled = sp.metrics.engine.spilled_cags
             + sp.metrics.engine.spilled_orphans
             + sp.metrics.spilled_dedup_entries;
@@ -713,45 +563,29 @@ fn scale_stream(base: &mut Baseline, shards: usize) {
 
     println!(
         "{}",
-        header(&["mode", "records", "corr_s", "rec/s", "peak_MB", "evicted"])
+        header(&["mode", "records", "corr_s", "rec/s", "peak_MB"])
     );
     let mb = |b: usize| b as f64 / 1e6;
     let sharded_label = format!("sharded_x{shards}");
-    for (mode, secs, peak, evicted) in [
-        ("batch", batch_secs, corr.metrics.peak_bytes, 0u64),
-        ("stream_8MiB", stream_secs, fin.metrics.peak_bytes, 0),
-        ("adaptive", adaptive_secs, acorr.metrics.peak_bytes, 0),
+    for (mode, secs, peak) in [
+        ("batch", batch_secs, corr.metrics.peak_bytes),
+        ("stream_8MiB", stream_secs, fin.metrics.peak_bytes),
+        ("adaptive", adaptive_secs, acorr.metrics.peak_bytes),
         (
             sharded_label.as_str(),
             sharded_secs,
             sharded.metrics.peak_bytes,
-            0,
         ),
-        (
-            "shed_1MiB",
-            f64::NAN,
-            tight.metrics.peak_bytes,
-            tight.metrics.engine.budget_evicted_cags,
-        ),
-        ("spill_1MiB", spill_secs, spill_metrics.peak_bytes, 0),
+        ("spill_1MiB", spill_secs, spill_metrics.peak_bytes),
     ] {
         println!(
             "{}",
             row(&[
                 mode.to_string(),
                 records.to_string(),
-                if secs.is_nan() {
-                    "-".into()
-                } else {
-                    format!("{secs:.3}")
-                },
-                if secs.is_nan() {
-                    "-".into()
-                } else {
-                    format!("{:.0}", records as f64 / secs)
-                },
+                format!("{secs:.3}"),
+                format!("{:.0}", records as f64 / secs),
                 format!("{:.2}", mb(peak)),
-                evicted.to_string(),
             ])
         );
     }
@@ -849,10 +683,6 @@ fn scale_stream(base: &mut Baseline, shards: usize) {
     base.rec(
         "scale.adaptive_window_updates",
         acorr.metrics.ranker.window_updates as f64,
-    );
-    base.rec(
-        "scale.tight_budget_evicted_cags",
-        tight.metrics.engine.budget_evicted_cags as f64,
     );
     base.rec("scale.spill_budget_bytes", spill_budget as f64);
     base.rec("scale.spill_corr_secs", spill_secs);
@@ -1805,4 +1635,71 @@ fn ext2(scale: Scale) {
     );
     let _ = Mix::browse_only();
     let _: NoiseSpec = NoiseSpec::none();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Runs the gates for `measured` against a committed file holding
+    /// `committed` (`None`: no file at all).
+    fn gates(measured: &[(&str, f64)], committed: Option<&str>) -> Vec<String> {
+        let mut base = Baseline::default();
+        for &(k, v) in measured {
+            base.rec(k, v);
+        }
+        let path = std::env::temp_dir().join(format!(
+            "pt-bench-gates-{}-{:?}.json",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let path = path.to_str().unwrap();
+        if let Some(text) = committed {
+            std::fs::write(path, text).unwrap();
+        }
+        let failures = check_gates(&base, path);
+        std::fs::remove_file(path).ok();
+        failures
+    }
+
+    const COMMITTED: &str =
+        "{\n  \"scale.sharded_speedup\": 2.0000,\n  \"scale.spill_vs_batch_wall\": 1.0000\n}\n";
+
+    #[test]
+    fn gates_pass_within_tolerance_and_skip_unmeasured_keys() {
+        let measured = [
+            ("scale.sharded_speedup", 1.7),
+            ("scale.spill_vs_batch_wall", 1.15),
+        ];
+        assert!(gates(&measured, Some(COMMITTED)).is_empty());
+        // Nothing gated was measured: every gate is skipped, even
+        // without a committed file.
+        assert!(gates(&[("scale.records", 1.0)], None).is_empty());
+    }
+
+    #[test]
+    fn gates_fail_on_regression_in_either_direction() {
+        let measured = [
+            ("scale.sharded_speedup", 1.5),
+            ("scale.spill_vs_batch_wall", 1.3),
+        ];
+        let failures = gates(&measured, Some(COMMITTED));
+        assert_eq!(failures.len(), 2, "{failures:?}");
+        assert!(failures[0].contains("below"), "{failures:?}");
+        assert!(failures[1].contains("above"), "{failures:?}");
+    }
+
+    #[test]
+    fn gates_fail_on_a_measured_key_the_committed_file_lacks() {
+        let failures = gates(&[("scale.dist_vs_sharded_wall", 1.0)], Some(COMMITTED));
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("lacks it"), "{failures:?}");
+    }
+
+    #[test]
+    fn gates_fail_without_a_committed_file() {
+        let failures = gates(&[("scale.sharded_speedup", 2.0)], None);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("cannot read"), "{failures:?}");
+    }
 }

@@ -58,25 +58,19 @@ pub struct CorrelatorConfig {
     /// Explicit resident-memory budget in bytes for the correlation
     /// state (window buffers + engine maps, per `approx_bytes`). When
     /// exceeded at a sampling point, cold state is paged out to the
-    /// spill tier (the default — recall is unaffected, see
-    /// [`CorrelatorConfig::spill_dir`]) or, under
-    /// [`CorrelatorConfig::shed_on_budget`], the stalest unfinished
-    /// CAGs are deterministically evicted until the state fits again;
-    /// both are surfaced in [`crate::engine::EngineCounters`]. `None`
-    /// disables budget enforcement.
+    /// spill tier (see [`CorrelatorConfig::spill_dir`]); recall is
+    /// unaffected. Sampling points still over budget once nothing
+    /// spillable is left are counted in
+    /// [`CorrelatorMetrics::budget_overruns`]. `None` disables budget
+    /// enforcement.
     pub memory_budget: Option<usize>,
     /// Directory for the spill tier's temp file (deleted on drop).
     /// `None` uses the platform temp directory. Only consulted when a
-    /// memory budget is set and `shed_on_budget` is off — the spill
-    /// tier pages cold unfinished CAGs, orphan chains and range-dedup
-    /// coverage to disk and faults them back on touch, so a budgeted
-    /// run stays byte-identical to an unbounded one.
+    /// memory budget is set — the spill tier pages cold unfinished
+    /// CAGs, orphan chains and range-dedup coverage to disk and faults
+    /// them back on touch, so a budgeted run stays byte-identical to an
+    /// unbounded one.
     pub spill_dir: Option<std::path::PathBuf>,
-    /// Revert to the pre-spill budget policy: shed (drop) the stalest
-    /// state instead of spilling it. Bounds memory without any disk
-    /// I/O, at the cost of recall — every shed CAG is a request the
-    /// trace forgets.
-    pub shed_on_budget: bool,
     /// Sealing-latency bound (SLO) for streaming consumers: a finished
     /// CAG normally leaves the engine only once its context moves on
     /// (so trailing END chunks can still amend it), which under
@@ -87,48 +81,34 @@ pub struct CorrelatorConfig {
     /// default) waits indefinitely — the only mode whose emission is
     /// timing-independent, so goldens use it.
     pub max_seal_lag: Option<u64>,
-    /// Session-router modes only (streaming, sharded, distributed):
-    /// evict the router's per-channel claim/role entries once a channel
-    /// has been idle for this many staged records (a record-count
-    /// horizon, so it needs no clock).
-    /// Only fully drained channels (no queued claims, no staged sends,
-    /// no waiting receives) are evicted, so routing stays correct; an
-    /// evicted channel merely forgets its last-shard drift fallback and
-    /// its shared-role history, both of which rebuild on the next
-    /// activity. Defaults to
-    /// [`DEFAULT_CHANNEL_IDLE_HORIZON`] so endless streams stay bounded
-    /// out of the box; `None` (set via `with_channel_idle_horizon(0)`)
-    /// never evicts.
-    pub channel_idle_horizon: Option<u64>,
-    /// Session-router modes only: bounded-age settle rule for
-    /// deferred-receive and noise lanes. A lane whose head receive cannot be routed yet
-    /// (its channel's send bytes are still in flight on another lane)
-    /// normally parks until the matching send stages — which on a
-    /// stream that never delivers that send (a dead peer, a dropped
-    /// capture) would buffer the lane forever. Once a parked lane has
-    /// buffered this many records behind its undecidable head, the head
-    /// is settled as if the stream had ended: routed on the
-    /// drift/affinity fallback or discarded as noise, and counted in
-    /// [`crate::ranker::RankerCounters::aged_settles`]. Defaults to
-    /// [`DEFAULT_LANE_SETTLE_DEPTH`]; `None` (set via
-    /// `with_lane_settle_depth(0)`) parks indefinitely, the pre-serve
-    /// finish-only behavior.
-    pub lane_settle_depth: Option<u64>,
 }
 
-/// Default [`CorrelatorConfig::channel_idle_horizon`]: a channel whose
-/// claims and roles have been fully drained for this many staged
-/// records is forgotten. Conservative — orders of magnitude beyond any
-/// real keep-alive lull at typical record rates, so reconnecting
-/// channels keep their drift fallback, while abandoned channels stop
-/// accumulating.
+/// Session-router modes only (streaming, sharded, distributed): the
+/// router's per-channel claim/role entries are evicted once a channel
+/// has been idle for this many staged records (a record-count horizon,
+/// so it needs no clock). Only fully drained channels (no queued
+/// claims, no staged sends, no waiting receives) are evicted, so
+/// routing stays correct; an evicted channel merely forgets its
+/// last-shard drift fallback and its shared-role history, both of
+/// which rebuild on the next activity. Conservative — orders of
+/// magnitude beyond any real keep-alive lull at typical record rates,
+/// so reconnecting channels keep their drift fallback, while abandoned
+/// channels stop accumulating.
 pub const DEFAULT_CHANNEL_IDLE_HORIZON: u64 = 65_536;
 
-/// Default [`CorrelatorConfig::lane_settle_depth`]: a parked lane that
-/// buffers this many records behind an undecidable head receive has its
-/// head force-settled. Conservative — a healthy lane clears its head as
-/// soon as the matching send stages, which is bounded by the capture's
-/// reordering skew, not by traffic volume.
+/// Session-router modes only: the bounded-age settle rule for
+/// deferred-receive and noise lanes. A lane whose head receive cannot
+/// be routed yet (its channel's send bytes are still in flight on
+/// another lane) normally parks until the matching send stages — which
+/// on a stream that never delivers that send (a dead peer, a dropped
+/// capture) would buffer the lane forever. Once a parked lane has
+/// buffered this many records behind its undecidable head, the head is
+/// settled as if the stream had ended: routed on the drift/affinity
+/// fallback or discarded as noise, and counted in
+/// [`crate::ranker::RankerCounters::aged_settles`]. Conservative — a
+/// healthy lane clears its head as soon as the matching send stages,
+/// which is bounded by the capture's reordering skew, not by traffic
+/// volume.
 pub const DEFAULT_LANE_SETTLE_DEPTH: u64 = 65_536;
 
 impl CorrelatorConfig {
@@ -142,10 +122,7 @@ impl CorrelatorConfig {
             mem_sample_every: 64,
             memory_budget: None,
             spill_dir: None,
-            shed_on_budget: false,
             max_seal_lag: None,
-            channel_idle_horizon: Some(DEFAULT_CHANNEL_IDLE_HORIZON),
-            lane_settle_depth: Some(DEFAULT_LANE_SETTLE_DEPTH),
         }
     }
 
@@ -181,33 +158,10 @@ impl CorrelatorConfig {
         self
     }
 
-    /// Sheds state under budget pressure instead of spilling it (see
-    /// [`CorrelatorConfig::shed_on_budget`]).
-    pub fn with_shed_on_budget(mut self) -> Self {
-        self.shed_on_budget = true;
-        self
-    }
-
     /// Bounds the sealing latency of finished CAGs to `lag` delivered
     /// candidates (see [`CorrelatorConfig::max_seal_lag`]).
     pub fn with_max_seal_lag(mut self, lag: u64) -> Self {
         self.max_seal_lag = Some(lag);
-        self
-    }
-
-    /// Evicts idle per-channel router state after `records` staged
-    /// records; `0` disables eviction entirely (see
-    /// [`CorrelatorConfig::channel_idle_horizon`]).
-    pub fn with_channel_idle_horizon(mut self, records: u64) -> Self {
-        self.channel_idle_horizon = (records != 0).then_some(records);
-        self
-    }
-
-    /// Force-settles a parked lane's head receive once `depth` records
-    /// have buffered behind it; `0` parks indefinitely (see
-    /// [`CorrelatorConfig::lane_settle_depth`]).
-    pub fn with_lane_settle_depth(mut self, depth: u64) -> Self {
-        self.lane_settle_depth = (depth != 0).then_some(depth);
         self
     }
 
@@ -454,8 +408,8 @@ pub(crate) struct StreamingCorrelator {
     /// arithmetic, v1 `retrans` marker fallback.
     range_dedup: RangeDedup,
     metrics: CorrelatorMetrics,
-    /// Spill tier backing file (present iff a memory budget is set and
-    /// shedding was not requested); shared with the engine.
+    /// Spill tier backing file (present iff a memory budget is set);
+    /// shared with the engine.
     spill_file: Option<Arc<crate::spill::SpillFile>>,
     /// Range-dedup coverage entries currently paged out, by key.
     spilled_dedup: crate::fasthash::FxHashMap<
@@ -479,8 +433,6 @@ pub(crate) struct StreamingCorrelator {
     /// Context count after the last budget-pressure context GC, so the
     /// O(contexts) sweep only reruns once enough new entries piled up.
     last_prune_contexts: usize,
-    /// `PT_BUDGET_DEBUG` was set: trace budget pressure to stderr.
-    debug_budget: bool,
     /// Set by `finish`; all further calls return `TraceError::Finished`.
     finished: bool,
 }
@@ -520,24 +472,14 @@ impl StreamingCorrelator {
     }
 
     fn build(config: CorrelatorConfig) -> Result<Self, TraceError> {
-        let mut ranker_opts = config.ranker;
-        let spill_mode = config.memory_budget.is_some() && !config.shed_on_budget;
-        // In shedding mode the budget backstops the window buffers too:
-        // stuck-state boosts must not fetch past it. In spill mode the
-        // ranker stays uncapped — capping it would change candidate
-        // selection, and the whole point of spilling is that a budgeted
-        // run makes exactly the decisions an unbounded run makes.
-        if ranker_opts.buffer_cap_bytes.is_none() && !spill_mode {
-            ranker_opts.buffer_cap_bytes = config.memory_budget;
-        }
-        let mut ranker = Ranker::new(ranker_opts);
-        // Under the adaptive policy the budget additionally caps the
-        // window itself — window buffers cannot spill, so their ceiling
-        // must scale with what the budget can hold.
+        let mut ranker = Ranker::new(config.ranker);
+        // Under the adaptive policy a budget caps the window itself —
+        // window buffers cannot spill, so their ceiling must scale with
+        // what the budget can hold.
         ranker.set_adaptive_budget(config.memory_budget);
         let mut engine = Engine::new(config.engine.clone());
         let mut spill_file = None;
-        if spill_mode {
+        if config.memory_budget.is_some() {
             let dir = config.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
             let file = Arc::new(crate::spill::SpillFile::create(&dir).map_err(|e| {
                 TraceError::config(format!(
@@ -566,7 +508,6 @@ impl StreamingCorrelator {
             ready: Vec::new(),
             direct: false,
             last_prune_contexts: 0,
-            debug_budget: std::env::var_os("PT_BUDGET_DEBUG").is_some(),
             finished: false,
         })
     }
@@ -729,37 +670,20 @@ impl StreamingCorrelator {
             self.last_prune_contexts = self.engine.context_count();
         }
         if let Some(budget) = self.memory_budget {
-            if self.engine.spill_enabled() {
-                self.spill_to_budget(budget);
-            } else {
-                self.shed_to_budget(budget);
-            }
+            self.spill_to_budget(budget);
         }
         let cur = self.ranker.approx_bytes() + self.engine.approx_bytes();
-        if self.debug_budget && cur > self.metrics.peak_bytes {
-            eprintln!(
-                "peak -> {cur} (ranker={} engine={:?})",
-                self.ranker.approx_bytes(),
-                self.engine.approx_breakdown()
-            );
-        }
         self.metrics.peak_bytes = self.metrics.peak_bytes.max(cur);
     }
 
-    /// Budget enforcement, spill flavor: page cold state out (unfinished
-    /// CAGs, orphan chains, then range-dedup coverage) until resident
-    /// state fits. Nothing is dropped — output stays byte-identical to
-    /// an unbounded run; only faults pay latency.
+    /// Budget enforcement: page cold state out (unfinished CAGs, orphan
+    /// chains, then range-dedup coverage) until resident state fits.
+    /// Nothing is dropped — output stays byte-identical to an unbounded
+    /// run; only faults pay latency. A boundary still over budget once
+    /// nothing spillable is left counts as a budget overrun.
     fn spill_to_budget(&mut self, budget: usize) {
-        while self.ranker.approx_bytes()
-            + self.engine.approx_bytes()
-            + self.range_dedup.approx_bytes()
-            > budget
-        {
-            if self.engine.spill_one() {
-                continue;
-            }
-            if self.spill_dedup_one() {
+        while self.approx_bytes() > budget {
+            if self.engine.spill_one() || self.spill_dedup_one() {
                 continue;
             }
             // The resident floor (window buffers, mmap/cmap) remains;
@@ -768,13 +692,8 @@ impl StreamingCorrelator {
                 self.engine.prune_stale_contexts();
                 self.last_prune_contexts = self.engine.context_count();
             }
-            if self.debug_budget {
-                eprintln!(
-                    "over budget after spill: ranker={} engine={:?} dedup={}",
-                    self.ranker.approx_bytes(),
-                    self.engine.approx_breakdown(),
-                    self.range_dedup.approx_bytes()
-                );
+            if self.approx_bytes() > budget {
+                self.metrics.budget_overruns += 1;
             }
             break;
         }
@@ -796,32 +715,6 @@ impl StreamingCorrelator {
         self.spilled_dedup.insert(key, ext);
         self.metrics.spilled_dedup_entries += 1;
         true
-    }
-
-    /// Budget enforcement, shedding flavor (`--shed-on-budget`): drop
-    /// the stalest state until resident state fits.
-    fn shed_to_budget(&mut self, budget: usize) {
-        while self.ranker.approx_bytes() + self.engine.approx_bytes() > budget {
-            // Deterministic shedding: stalest unfinished CAG, then
-            // oldest orphans/pendings; counted, never silent.
-            if !self.engine.shed_one() {
-                // Nothing evictable left; reclaim dead context-map
-                // entries, but only once enough piled up since the
-                // last sweep (the sweep is O(contexts)).
-                if self.engine.context_count() >= self.last_prune_contexts + Self::CMAP_GC_GROWTH {
-                    self.engine.prune_stale_contexts();
-                    self.last_prune_contexts = self.engine.context_count();
-                }
-                if self.debug_budget {
-                    eprintln!(
-                        "over budget after shed: ranker={} engine={:?}",
-                        self.ranker.approx_bytes(),
-                        self.engine.approx_breakdown()
-                    );
-                }
-                break;
-            }
-        }
     }
 
     /// Current approximate resident bytes (window buffers + engine
@@ -876,12 +769,7 @@ impl StreamingCorrelator {
         metrics.wall = self.started.elapsed();
         metrics.final_bytes = self.ranker.approx_bytes() + self.engine.approx_bytes();
         metrics.peak_bytes = metrics.peak_bytes.max(metrics.final_bytes);
-        // Deformed paths = those still open at end of input plus those
-        // the memory budget evicted along the way (the evicted ones are
-        // dropped, not returned — holding them would defeat the budget
-        // — but they must not vanish from the count).
-        metrics.cags_unfinished =
-            unfinished.len() as u64 + self.engine.counters().budget_evicted_cags;
+        metrics.cags_unfinished = unfinished.len() as u64;
         metrics.ranker = *self.ranker.counters();
         metrics.engine = *self.engine.counters();
         if let Some(file) = &self.spill_file {
@@ -1155,49 +1043,9 @@ mod tests {
     }
 
     #[test]
-    fn memory_budget_evicts_stalest_unfinished_cags() {
-        // Open many never-ending requests (BEGIN, no END): unfinished
-        // CAGs accumulate until the budget forces deterministic eviction
-        // of the oldest ones, surfaced in the engine counters. Uses the
-        // explicit shedding policy; the default pages out to the spill
-        // tier instead (covered by the spill tests below).
-        let access = AccessPointSpec::new([80], ["10.0.0.1".parse().unwrap()]);
-        let mut cfg = CorrelatorConfig::new(access)
-            .with_memory_budget(8 * 1024)
-            .with_shed_on_budget();
-        cfg.mem_sample_every = 8;
-        let mut sc = StreamingCorrelator::new(cfg).unwrap();
-        for i in 0..2_000u64 {
-            sc.push(
-                format!(
-                    "{} web httpd 7 7 RECEIVE 192.168.0.9:{}-10.0.0.1:80 100",
-                    i * 1_000_000,
-                    5_000 + (i % 50_000),
-                )
-                .parse()
-                .unwrap(),
-            )
-            .unwrap();
-            let _ = sc.poll().unwrap();
-        }
-        assert!(
-            sc.approx_bytes() <= 8 * 1024,
-            "resident {} bytes exceeds the 8 KiB budget",
-            sc.approx_bytes()
-        );
-        let out = sc.finish().unwrap();
-        assert!(
-            out.metrics.engine.budget_evicted_cags > 0,
-            "evictions must be surfaced in the counters: {:?}",
-            out.metrics.engine
-        );
-        assert!(out.metrics.peak_bytes <= 8 * 1024 + 4 * 1024);
-    }
-
-    #[test]
     fn without_budget_the_same_load_grows_past_it() {
-        // Sanity check for the test above: the eviction is what keeps
-        // the resident set under the budget.
+        // Sanity check for the spill test below: the budget is what
+        // keeps the resident set small.
         let access = AccessPointSpec::new([80], ["10.0.0.1".parse().unwrap()]);
         let mut cfg = CorrelatorConfig::new(access);
         cfg.mem_sample_every = 8;
@@ -1217,15 +1065,15 @@ mod tests {
         }
         assert!(sc.approx_bytes() > 8 * 1024);
         let out = sc.finish().unwrap();
-        assert_eq!(out.metrics.engine.budget_evicted_cags, 0);
+        assert_eq!(out.metrics.budget_overruns, 0, "no budget, no overruns");
     }
 
     #[test]
     fn spill_tier_bounds_memory_without_losing_recall() {
-        // Same never-ending load as the shedding test, but under the
-        // default budget policy: cold CAGs page out to the spill file
-        // instead of being dropped, and every one of them comes back as
-        // a deformed path at finish — bounded memory, recall 1.00.
+        // The same never-ending load under an 8 KiB budget: cold CAGs
+        // page out to the spill file instead of being dropped, and
+        // every one of them comes back as a deformed path at finish —
+        // bounded memory, recall 1.00.
         let access = AccessPointSpec::new([80], ["10.0.0.1".parse().unwrap()]);
         let mut cfg = CorrelatorConfig::new(access).with_memory_budget(8 * 1024);
         cfg.mem_sample_every = 8;
@@ -1249,7 +1097,6 @@ mod tests {
             sc.approx_bytes()
         );
         let out = sc.finish().unwrap();
-        assert_eq!(out.metrics.engine.budget_evicted_cags, 0);
         assert!(out.metrics.engine.spilled_cags > 0, "nothing spilled");
         assert!(out.metrics.engine.spill_faults > 0, "nothing faulted");
         assert_eq!(out.unfinished.len(), 2_000, "spill must not cost recall");

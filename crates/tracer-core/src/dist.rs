@@ -33,20 +33,26 @@
 //!   is **byte-identical** to single-process `Mode::Sharded` with the
 //!   same total shard count, on every corpus and over every transport.
 //!
-//! ## Wire protocol (PTDC v2)
+//! ## Wire protocol (PTDC v3)
 //!
 //! Length-prefixed binary frames in PTBIN style (little-endian,
 //! length-prefixed strings, incremental interning):
 //!
 //! ```text
 //!  frame   := type:u8 len:u32 payload[len]
-//!  Hello   := magic:u32 version:u32 router:u32 workers:u32 config
+//!  Hello   := magic:u32 version:u32 workers:u32 config
 //!  Claim   := worker:u32 count:u32 msg[count]     (coordinator → router)
 //!  Finish  := (empty)                             (coordinator → router)
 //!  Output  := worker:u32 correlation-output       (router → coordinator)
 //!  Error   := message:str                         (router → coordinator)
 //!  msg     := 0 act | 1 forget-ctx
+//!  config  := merge-segments:u8 thread-reuse-check:u8 mem-sample-every:u64
+//!             memory-budget:opt-u64 spill-dir:opt-str max-seal-lag:opt-u64
 //! ```
+//!
+//! The Hello carries only what a direct-delivery worker reads: claims
+//! arrive classified, filtered and already selected, so the access
+//! points, filters and ranker options stay with the coordinator.
 //!
 //! Context strings in Claim frames use **incremental interning**: the
 //! first occurrence of a hostname/program travels as
@@ -125,12 +131,12 @@ pub(crate) mod wire {
     use crate::cag::Cag;
     use crate::engine::{EngineCounters, EngineOptions};
     use crate::metrics::CorrelatorMetrics;
-    use crate::ranker::{RankerCounters, RankerOptions, WindowPolicy};
+    use crate::ranker::RankerCounters;
     use crate::spill::codec::{get_channel, put_channel, put_str, put_u32, put_u64, put_u8, Dec};
     use crate::spill::{decode_cag_from, encode_cag};
 
     pub const MAGIC: u32 = 0x5054_4443; // "PTDC"
-    pub const VERSION: u32 = 2;
+    pub const VERSION: u32 = 3;
 
     pub const FRAME_HELLO: u8 = 1;
     pub const FRAME_CLAIM: u8 = 2;
@@ -142,8 +148,8 @@ pub(crate) mod wire {
     /// routers the coordinator started or named.
     const MAX_FRAME: u32 = 1 << 30;
 
-    /// Bound on a Hello: magic, version, topology and one config, whose
-    /// port and IP lists and spill path stay far below this.
+    /// Bound on a Hello: magic, version, worker count and one config,
+    /// whose spill path stays far below this.
     const MAX_HELLO: u32 = 1 << 20;
 
     /// Bound on a Claim: at most `BATCH_RECORDS` messages of 16 KiB,
@@ -395,70 +401,28 @@ pub(crate) mod wire {
         }
     }
 
-    /// Serializes the per-worker correlator config for the Hello
-    /// frame. Exhaustive destructuring everywhere in this module: a
-    /// new config or counter field fails compilation here instead of
-    /// silently diverging between coordinator and router.
+    /// Serializes the worker fields of the per-worker correlator
+    /// config for the Hello frame. Exhaustive destructuring everywhere
+    /// in this module: a new config or counter field fails compilation
+    /// here instead of silently diverging between coordinator and
+    /// router.
     pub fn put_config(buf: &mut Vec<u8>, cfg: &CorrelatorConfig) {
         let CorrelatorConfig {
-            access,
-            filters: _, // workers receive pre-filtered activities
-            ranker,
-            engine,
+            access: _,
+            filters: _,
+            ranker: _,
+            engine:
+                EngineOptions {
+                    merge_segments,
+                    thread_reuse_check,
+                },
             mem_sample_every,
             memory_budget,
             spill_dir,
-            shed_on_budget,
             max_seal_lag,
-            channel_idle_horizon,
-            lane_settle_depth,
         } = cfg;
-        let ports: Vec<u16> = access.frontend_ports().collect();
-        put_u32(buf, ports.len() as u32);
-        for p in ports {
-            put_u32(buf, u32::from(p));
-        }
-        let ips: Vec<std::net::Ipv4Addr> = access.internal_ips().collect();
-        put_u32(buf, ips.len() as u32);
-        for ip in ips {
-            put_u32(buf, u32::from(ip));
-        }
-        let RankerOptions {
-            window,
-            window_policy,
-            swap,
-            fetch_boost,
-            noise_discard,
-            buffer_cap_bytes,
-        } = ranker;
-        put_u64(buf, window.0);
-        match *window_policy {
-            WindowPolicy::Static => put_u8(buf, 0),
-            WindowPolicy::Adaptive { slack, min, max } => {
-                put_u8(buf, 1);
-                put_u32(buf, slack);
-                put_u64(buf, min.0);
-                put_u64(buf, max.0);
-            }
-        }
-        put_u8(buf, *swap as u8);
-        put_u32(buf, *fetch_boost);
-        put_u8(buf, *noise_discard as u8);
-        put_opt_u64(buf, buffer_cap_bytes.map(|v| v as u64));
-        let EngineOptions {
-            merge_segments,
-            thread_reuse_check,
-            amend_finished,
-            pending_cap,
-            orphan_cap,
-            unfinished_cap,
-        } = engine;
         put_u8(buf, *merge_segments as u8);
         put_u8(buf, *thread_reuse_check as u8);
-        put_u8(buf, *amend_finished as u8);
-        put_u64(buf, *pending_cap as u64);
-        put_u64(buf, *orphan_cap as u64);
-        put_u64(buf, *unfinished_cap as u64);
         put_u64(buf, *mem_sample_every);
         put_opt_u64(buf, memory_budget.map(|v| v as u64));
         match spill_dir {
@@ -468,48 +432,19 @@ pub(crate) mod wire {
             }
             None => put_u8(buf, 0),
         }
-        put_u8(buf, *shed_on_budget as u8);
         put_opt_u64(buf, *max_seal_lag);
-        put_opt_u64(buf, *channel_idle_horizon);
-        put_opt_u64(buf, *lane_settle_depth);
     }
 
+    /// The worker config a Hello carries; every field it does not carry
+    /// keeps its default.
     pub fn get_config(d: &mut Dec<'_>) -> CorrelatorConfig {
-        use crate::access::AccessPointSpec;
-        use crate::activity::Nanos;
-        let n_ports = d.count(4);
-        let ports: Vec<u16> = (0..n_ports).map(|_| d.u32() as u16).collect();
-        let n_ips = d.count(4);
-        let ips: Vec<std::net::Ipv4Addr> = (0..n_ips)
-            .map(|_| std::net::Ipv4Addr::from(d.u32()))
-            .collect();
-        let mut cfg = CorrelatorConfig::new(AccessPointSpec::new(ports, ips));
-        cfg.ranker.window = Nanos(d.u64());
-        cfg.ranker.window_policy = match d.u8() {
-            0 => WindowPolicy::Static,
-            _ => WindowPolicy::Adaptive {
-                slack: d.u32(),
-                min: Nanos(d.u64()),
-                max: Nanos(d.u64()),
-            },
-        };
-        cfg.ranker.swap = d.u8() != 0;
-        cfg.ranker.fetch_boost = d.u32();
-        cfg.ranker.noise_discard = d.u8() != 0;
-        cfg.ranker.buffer_cap_bytes = get_opt_u64(d).map(|v| v as usize);
+        let mut cfg = CorrelatorConfig::new(crate::access::AccessPointSpec::default());
         cfg.engine.merge_segments = d.u8() != 0;
         cfg.engine.thread_reuse_check = d.u8() != 0;
-        cfg.engine.amend_finished = d.u8() != 0;
-        cfg.engine.pending_cap = d.u64() as usize;
-        cfg.engine.orphan_cap = d.u64() as usize;
-        cfg.engine.unfinished_cap = d.u64() as usize;
         cfg.mem_sample_every = d.u64();
         cfg.memory_budget = get_opt_u64(d).map(|v| v as usize);
         cfg.spill_dir = (d.u8() != 0).then(|| PathBuf::from(d.str()));
-        cfg.shed_on_budget = d.u8() != 0;
         cfg.max_seal_lag = get_opt_u64(d);
-        cfg.channel_idle_horizon = get_opt_u64(d);
-        cfg.lane_settle_depth = get_opt_u64(d);
         cfg
     }
 
@@ -587,7 +522,6 @@ pub(crate) mod wire {
             evicted_orphans,
             abandoned_cags,
             budget_evicted_cags,
-            budget_evicted_vertices,
             pruned_contexts,
             forced_seals,
             gap_retired_pendings,
@@ -613,7 +547,6 @@ pub(crate) mod wire {
             *evicted_orphans,
             *abandoned_cags,
             *budget_evicted_cags,
-            *budget_evicted_vertices,
             *pruned_contexts,
             *forced_seals,
             *gap_retired_pendings,
@@ -644,7 +577,6 @@ pub(crate) mod wire {
             evicted_orphans: d.u64(),
             abandoned_cags: d.u64(),
             budget_evicted_cags: d.u64(),
-            budget_evicted_vertices: d.u64(),
             pruned_contexts: d.u64(),
             forced_seals: d.u64(),
             gap_retired_pendings: d.u64(),
@@ -673,6 +605,7 @@ pub(crate) mod wire {
             spill_pages_written,
             spill_pages_read,
             spill_queue_hits,
+            budget_overruns,
             peak_bytes,
             final_bytes,
             wall,
@@ -692,6 +625,7 @@ pub(crate) mod wire {
             *spill_pages_written,
             *spill_pages_read,
             *spill_queue_hits,
+            *budget_overruns,
             *peak_bytes as u64,
             *final_bytes as u64,
             wall.as_nanos() as u64,
@@ -718,6 +652,7 @@ pub(crate) mod wire {
             spill_pages_written: d.u64(),
             spill_pages_read: d.u64(),
             spill_queue_hits: d.u64(),
+            budget_overruns: d.u64(),
             peak_bytes: d.u64() as usize,
             final_bytes: d.u64() as usize,
             wall: std::time::Duration::from_nanos(d.u64()),
@@ -896,7 +831,6 @@ fn serve_inner<R: Read, W: Write>(
             wire::VERSION
         )));
     }
-    let _router_index = d.u32();
     let workers = d.u32() as usize;
     let cfg = wire::get_config(&mut d);
     d.finish()
@@ -1120,7 +1054,6 @@ impl Peers {
                     use crate::spill::codec::put_u32;
                     put_u32(buf, wire::MAGIC);
                     put_u32(buf, wire::VERSION);
-                    put_u32(buf, i as u32);
                     put_u32(buf, workers_per_router as u32);
                     wire::put_config(buf, &rc);
                 })
@@ -1680,39 +1613,33 @@ mod tests {
     #[test]
     fn config_survives_the_wire_exhaustively() {
         let mut cfg = CorrelatorConfig::new(access());
+        cfg.filters = crate::filter::FilterSet::new().drop_program("sshd");
         cfg.ranker.window = Nanos::from_millis(7);
-        cfg.ranker.window_policy = crate::ranker::WindowPolicy::Adaptive {
-            slack: 3,
-            min: Nanos(1_000),
-            max: Nanos(9_000_000),
-        };
+        cfg.ranker.window_policy = crate::ranker::WindowPolicy::adaptive_default();
         cfg.ranker.swap = false;
         cfg.ranker.fetch_boost = 9;
         cfg.ranker.noise_discard = false;
-        cfg.ranker.buffer_cap_bytes = Some(12_345);
         cfg.engine.merge_segments = false;
-        cfg.engine.pending_cap = 77;
+        cfg.engine.thread_reuse_check = false;
         cfg.mem_sample_every = 17;
         cfg.memory_budget = Some(1 << 22);
         cfg.spill_dir = Some(PathBuf::from("/tmp/pt-dist-wire-test"));
-        cfg.shed_on_budget = true;
         cfg.max_seal_lag = Some(33);
-        cfg.channel_idle_horizon = Some(44);
-        cfg.lane_settle_depth = Some(55);
 
         let mut buf = Vec::new();
         wire::put_config(&mut buf, &cfg);
         let mut d = crate::spill::codec::Dec::new(&buf);
         let back = wire::get_config(&mut d);
         d.finish().unwrap();
-        // Filters are deliberately not shipped (workers see
-        // pre-filtered activities); everything else must survive.
-        let strip = |c: &CorrelatorConfig| {
-            let mut c = c.clone();
-            c.filters = crate::filter::FilterSet::new();
-            format!("{c:?}")
-        };
-        assert_eq!(strip(&cfg), strip(&back));
+        // Exactly the worker fields travel; the access points, filters
+        // and ranker options stay with the coordinator.
+        let mut want = CorrelatorConfig::new(crate::access::AccessPointSpec::default());
+        want.engine = cfg.engine.clone();
+        want.mem_sample_every = cfg.mem_sample_every;
+        want.memory_budget = cfg.memory_budget;
+        want.spill_dir = cfg.spill_dir.clone();
+        want.max_seal_lag = cfg.max_seal_lag;
+        assert_eq!(back, want);
     }
 
     #[test]
@@ -1739,7 +1666,7 @@ mod tests {
     fn hello(version: u32) -> Vec<u8> {
         use crate::spill::codec::put_u32;
         frame(wire::FRAME_HELLO, |buf| {
-            for v in [wire::MAGIC, version, 0, 1] {
+            for v in [wire::MAGIC, version, 1] {
                 put_u32(buf, v);
             }
             wire::put_config(buf, &CorrelatorConfig::new(access()));
@@ -1761,8 +1688,13 @@ mod tests {
         // A Hello with a 3-byte payload.
         let err = serve_bytes(&[wire::FRAME_HELLO, 3, 0, 0, 0, b'a', b'b', b'c']).unwrap_err();
         assert!(err.to_string().contains("bad magic"), "{err}");
-        let err = serve_bytes(&hello(1)).unwrap_err();
-        assert!(err.to_string().contains("protocol version 1"), "{err}");
+        // Hellos of earlier protocol versions are refused before their
+        // config is decoded.
+        for old in [1, 2] {
+            let err = serve_bytes(&hello(old)).unwrap_err();
+            let want = format!("protocol version {old} (this router speaks 3)");
+            assert!(err.to_string().contains(&want), "{err}");
+        }
         let finish = frame(wire::FRAME_FINISH, |_| {});
         let mut valid = hello(wire::VERSION);
         valid.extend_from_slice(&finish);

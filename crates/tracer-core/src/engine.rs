@@ -31,7 +31,7 @@ use crate::fasthash::FxHashMap;
 use crate::ranker::MatchOracle;
 use crate::spill::{self, codec, PageExtent, SpillFile};
 
-/// Tunables and ablation switches for the engine.
+/// The engine's ablation switches (EXT-2).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineOptions {
     /// Merge consecutive same-channel SEND (and BEGIN/END) segments into
@@ -42,15 +42,6 @@ pub struct EngineOptions {
     /// the same CAG (§4.2 lines 29-32). Disabling reproduces the
     /// thread-pool mis-correlation the paper warns about.
     pub thread_reuse_check: bool,
-    /// Merge trailing END segments into the already-output CAG.
-    pub amend_finished: bool,
-    /// Maximum unmatched pending sends retained in `mmap` before the
-    /// oldest are evicted (bounds memory under send-side noise).
-    pub pending_cap: usize,
-    /// Maximum orphan (non-CAG) vertices retained for context chains.
-    pub orphan_cap: usize,
-    /// Maximum unfinished CAGs retained before the oldest are abandoned.
-    pub unfinished_cap: usize,
 }
 
 impl Default for EngineOptions {
@@ -58,13 +49,29 @@ impl Default for EngineOptions {
         EngineOptions {
             merge_segments: true,
             thread_reuse_check: true,
-            amend_finished: true,
-            pending_cap: 1 << 20,
-            orphan_cap: 1 << 20,
-            unfinished_cap: 1 << 20,
         }
     }
 }
+
+/// Retention bounds on engine state: the oldest entry is evicted (and
+/// counted) once a bound is exceeded. Far above any working set, they
+/// only stop endless noise from growing state without limit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Caps {
+    /// Unmatched pending sends retained in `mmap` (bounds memory under
+    /// send-side noise).
+    pending: usize,
+    /// Orphan (non-CAG) vertices retained for context chains.
+    orphans: usize,
+    /// Unfinished CAGs retained, resident and spilled alike.
+    unfinished: usize,
+}
+
+const CAPS: Caps = Caps {
+    pending: 1 << 20,
+    orphans: 1 << 20,
+    unfinished: 1 << 20,
+};
 
 /// Counters describing everything the engine did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -96,17 +103,16 @@ pub struct EngineCounters {
     pub reuse_suppressed_edges: u64,
     /// Vertices that landed in the orphan pool (noise chains).
     pub orphan_vertices: u64,
-    /// Pending sends evicted by `pending_cap`.
+    /// Pending sends evicted by the engine's pending-send bound.
     pub evicted_pendings: u64,
-    /// Orphans evicted by `orphan_cap`.
+    /// Orphans evicted by the engine's orphan bound.
     pub evicted_orphans: u64,
-    /// Unfinished CAGs abandoned by `unfinished_cap`.
+    /// Unfinished CAGs abandoned by the engine's unfinished-CAG bound.
     pub abandoned_cags: u64,
-    /// Stale unfinished CAGs evicted by the streaming correlator's
-    /// explicit memory budget (`with_memory_budget`).
+    /// Always 0: a memory budget spills state (see
+    /// [`EngineCounters::spilled_cags`]) and never evicts it. Kept only
+    /// until its remaining readers stop reading it.
     pub budget_evicted_cags: u64,
-    /// Vertices dropped with those budget-evicted CAGs.
-    pub budget_evicted_vertices: u64,
     /// Dead `cmap` entries dropped by the context GC (budget pressure
     /// or the periodic no-budget sweep).
     pub pruned_contexts: u64,
@@ -120,8 +126,7 @@ pub struct EngineCounters {
     /// never match — without this they would byte-shift the FIFO.
     pub gap_retired_pendings: u64,
     /// Unfinished CAGs paged out to the spill file under memory-budget
-    /// pressure (the spill tier's replacement for `budget_evicted_cags`
-    /// — residency changes, recall does not).
+    /// pressure (residency changes, recall does not).
     pub spilled_cags: u64,
     /// Orphan vertices paged out to the spill file.
     pub spilled_orphans: u64,
@@ -153,7 +158,6 @@ impl EngineCounters {
             evicted_orphans,
             abandoned_cags,
             budget_evicted_cags,
-            budget_evicted_vertices,
             pruned_contexts,
             forced_seals,
             gap_retired_pendings,
@@ -178,7 +182,6 @@ impl EngineCounters {
         self.evicted_orphans += evicted_orphans;
         self.abandoned_cags += abandoned_cags;
         self.budget_evicted_cags += budget_evicted_cags;
-        self.budget_evicted_vertices += budget_evicted_vertices;
         self.pruned_contexts += pruned_contexts;
         self.forced_seals += forced_seals;
         self.gap_retired_pendings += gap_retired_pendings;
@@ -282,6 +285,7 @@ struct SpillState {
 #[derive(Debug)]
 pub struct Engine {
     opts: EngineOptions,
+    caps: Caps,
     unfinished: BTreeMap<u64, Cag>,
     finished: Vec<Cag>,
     /// `counters.delivered` at the moment each `finished` entry closed,
@@ -315,6 +319,7 @@ impl Engine {
     pub fn new(opts: EngineOptions) -> Self {
         Engine {
             opts,
+            caps: CAPS,
             unfinished: BTreeMap::new(),
             finished: Vec::new(),
             finished_at: Vec::new(),
@@ -399,63 +404,10 @@ impl Engine {
         out
     }
 
-    /// Evicts the *stalest* unfinished CAG (the one opened longest ago)
-    /// under memory-budget pressure. The eviction is deterministic
-    /// (CAG ids are assigned in BEGIN delivery order) and counted in
-    /// [`EngineCounters::budget_evicted_cags`]; the streaming
-    /// correlator folds the count into `cags_unfinished`, but the path
-    /// itself is dropped — retaining it would defeat the budget.
-    /// Returns `None` when no CAG is under construction.
-    pub fn evict_stalest_unfinished(&mut self) -> Option<Cag> {
-        let (_, cag) = self.unfinished.pop_first()?;
-        self.vertex_count -= cag.vertices.len();
-        self.tag_count -= cag.vertices.iter().map(|v| v.tags.len()).sum::<usize>();
-        self.counters.budget_evicted_cags += 1;
-        self.counters.budget_evicted_vertices += cag.vertices.len() as u64;
-        Some(cag)
-    }
-
-    /// Sheds one unit of evictable state under memory-budget pressure,
-    /// in deterministic priority order: the stalest unfinished CAG,
-    /// then the oldest orphan chain, then the oldest pending send.
-    /// Returns `false` when nothing evictable remains (the floor —
-    /// `cmap` and the window buffers — is not sheddable).
-    ///
-    /// Order rationale: unfinished CAGs go first because the budget
-    /// contract targets *stale* half-built paths (lost-activity
-    /// leftovers grow without bound under endless input); orphans and
-    /// pendings follow so a starved budget still converges instead of
-    /// the orphan pool absorbing the freed space. A `mmap_order` entry
-    /// whose pending was already consumed sheds nothing but still
-    /// returns `true`; the caller's loop terminates because the order
-    /// queue itself shrinks.
-    pub fn shed_one(&mut self) -> bool {
-        if self.evict_stalest_unfinished().is_some() {
-            return true;
-        }
-        if let Some((_, _)) = self.orphans.pop_first() {
-            self.counters.evicted_orphans += 1;
-            return true;
-        }
-        if let Some(ch) = self.mmap_order.pop_front() {
-            if let Some(q) = self.mmap.get_mut(&ch) {
-                if q.pop_front().is_some() {
-                    self.pending_count -= 1;
-                    self.counters.evicted_pendings += 1;
-                }
-                if q.is_empty() {
-                    self.mmap.remove(&ch);
-                }
-            }
-            return true;
-        }
-        false
-    }
-
     /// Enables the spill tier backed by `file`. Subsequent
-    /// [`Engine::spill_one`] calls page cold state out instead of the
-    /// caller shedding it; everything faults back on touch, so output
-    /// stays byte-identical to an unbounded run.
+    /// [`Engine::spill_one`] calls page cold state out; everything
+    /// faults back on touch, so output stays byte-identical to an
+    /// unbounded run.
     pub fn enable_spill(&mut self, file: Arc<SpillFile>) {
         self.spill = Some(Box::new(SpillState {
             file,
@@ -465,11 +417,6 @@ impl Engine {
             lru: FxHashMap::default(),
             pin_epoch: 0,
         }));
-    }
-
-    /// Whether the spill tier is enabled.
-    pub fn spill_enabled(&self) -> bool {
-        self.spill.is_some()
     }
 
     /// Number of unfinished CAGs currently paged out.
@@ -714,17 +661,10 @@ impl Engine {
 
     /// Approximate resident bytes of all engine state (index maps,
     /// unfinished CAGs, buffered finished CAGs, orphans). Used for the
-    /// Fig. 11 memory experiment.
+    /// Fig. 11 memory experiment. The pending figure includes the
+    /// eviction-order queue (kept within 2× the live pending count by
+    /// lazy compaction).
     pub fn approx_bytes(&self) -> usize {
-        self.approx_breakdown().iter().sum()
-    }
-
-    /// Approximate resident bytes split by component, in the order
-    /// `(unfinished vertices+tags, pendings, cmap, orphans, finished
-    /// buffer)` — diagnostics for memory-budget tuning. The pending
-    /// figure includes the eviction-order queue (kept within 2× the
-    /// live pending count by lazy compaction).
-    pub fn approx_breakdown(&self) -> [usize; 5] {
         let vert = self.vertex_count * size_of::<Vertex>() + self.tag_count * 8;
         let pend = self.pending_count * (size_of::<Pending>() + size_of::<Channel>())
             + self.mmap_order.len() * size_of::<Channel>();
@@ -735,7 +675,7 @@ impl Engine {
             .iter()
             .map(|c| c.vertices.len() * size_of::<Vertex>())
             .sum();
-        [vert, pend, cmap, orph, fin]
+        vert + pend + cmap + orph + fin
     }
 
     fn resolve(&self, vref: VRef) -> Resolved {
@@ -815,7 +755,7 @@ impl Engine {
             },
         );
         self.counters.orphan_vertices += 1;
-        while self.orphans.len() > self.opts.orphan_cap {
+        while self.orphans.len() > self.caps.orphans {
             self.orphans.pop_first();
             self.counters.evicted_orphans += 1;
         }
@@ -856,7 +796,7 @@ impl Engine {
         if self.mmap_order.len() > 2 * self.pending_count + 1_024 {
             self.compact_mmap_order();
         }
-        while self.pending_count > self.opts.pending_cap {
+        while self.pending_count > self.caps.pending {
             // Evict the globally oldest pending send.
             if let Some(ch) = self.mmap_order.pop_front() {
                 if let Some(q) = self.mmap.get_mut(&ch) {
@@ -928,7 +868,7 @@ impl Engine {
         self.cmap.insert(a.ctx, VRef::Cag { cag: id, v: 0 });
         // The cap counts spilled CAGs too — the spill tier bounds
         // memory, not the total amount of live state.
-        while self.unfinished.len() + self.spilled_len() > self.opts.unfinished_cap {
+        while self.unfinished.len() + self.spilled_len() > self.caps.unfinished {
             if let Some(&stalest_spilled) = self.spill.as_deref().and_then(|s| s.cags.keys().min())
             {
                 // CAG ids are assigned in BEGIN order, so the globally
@@ -982,11 +922,7 @@ impl Engine {
                 v,
                 ty,
                 channel,
-            }) if self.opts.amend_finished
-                && self.opts.merge_segments
-                && ty == ActivityType::End
-                && channel == a.channel =>
-            {
+            }) if self.opts.merge_segments && ty == ActivityType::End && channel == a.channel => {
                 // Trailing chunk of a chunked response.
                 let idx = self.finished_index[&cag];
                 let vx = &mut self.finished[idx].vertices[v];
@@ -2097,12 +2033,17 @@ mod tests {
         assert_eq!(e.counters().cross_message_receives, 1);
     }
 
+    /// An engine with the given retention bounds in place of [`CAPS`].
+    fn with_caps(caps: Caps) -> Engine {
+        Engine {
+            caps,
+            ..Engine::default()
+        }
+    }
+
     #[test]
     fn pending_cap_evicts_oldest() {
-        let mut e = Engine::new(EngineOptions {
-            pending_cap: 2,
-            ..EngineOptions::default()
-        });
+        let mut e = with_caps(Caps { pending: 2, ..CAPS });
         for i in 0..4u64 {
             e.deliver(act(
                 ActivityType::Send,
@@ -2270,9 +2211,9 @@ mod tests {
 
     #[test]
     fn unfinished_cap_abandons_oldest() {
-        let mut e = Engine::new(EngineOptions {
-            unfinished_cap: 2,
-            ..EngineOptions::default()
+        let mut e = with_caps(Caps {
+            unfinished: 2,
+            ..CAPS
         });
         for i in 0..4u64 {
             e.deliver(act(

@@ -111,9 +111,7 @@ pub use metrics::CorrelatorMetrics;
 pub use pattern::{AveragePath, PatternAggregator, PatternKey};
 pub use pipeline::{Mode, Pipeline, PipelineConfig, PipelineSession, Source};
 pub use ranker::Ranker;
-pub use raw::{
-    dedup_retransmissions, parse_log, parse_log_iter, RangeDedup, RawOp, RawRecord, RawRecordRef,
-};
+pub use raw::{parse_log, parse_log_iter, RangeDedup, RawOp, RawRecord, RawRecordRef};
 pub use serve::{
     ServeConfig, ServeKpi, ServeReport, ServeSink, Server, ShedPolicy, SourceKind, SourceReport,
     SourceSpec,
@@ -139,10 +137,7 @@ pub mod prelude {
     pub use crate::metrics::CorrelatorMetrics;
     pub use crate::pattern::{AveragePath, PatternAggregator, PatternKey};
     pub use crate::pipeline::{Mode, Pipeline, PipelineConfig, PipelineSession, Source};
-    pub use crate::raw::{
-        dedup_retransmissions, parse_log, parse_log_iter, RangeDedup, RawOp, RawRecord,
-        RawRecordRef,
-    };
+    pub use crate::raw::{parse_log, parse_log_iter, RangeDedup, RawOp, RawRecord, RawRecordRef};
     pub use crate::serve::{
         ServeConfig, ServeKpi, ServeReport, ServeSink, Server, ShedPolicy, SourceKind,
         SourceReport, SourceSpec,

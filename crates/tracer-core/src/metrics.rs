@@ -40,9 +40,7 @@ pub struct CorrelatorMetrics {
     /// Completed causal paths output.
     pub cags_finished: u64,
     /// Deformed paths: still open at end of input (lost END
-    /// activities) plus any evicted mid-stream by the memory budget
-    /// (`engine.budget_evicted_cags`), which are counted here but not
-    /// returned — retaining them would defeat the budget.
+    /// activities).
     pub cags_unfinished: u64,
     /// Range-dedup coverage entries paged out by the spill tier.
     pub spilled_dedup_entries: u64,
@@ -55,6 +53,11 @@ pub struct CorrelatorMetrics {
     /// Faults served from the write-behind queue before the disk caught
     /// up (no read I/O).
     pub spill_queue_hits: u64,
+    /// Sampling boundaries still over the memory budget after
+    /// everything spillable was spilled: the resident floor (window
+    /// buffers, context map, pending sends, sealed-but-held CAGs)
+    /// alone exceeded the budget. Zero without a budget.
+    pub budget_overruns: u64,
     /// Peak approximate resident bytes of ranker buffers + engine state
     /// (sampled once per candidate).
     pub peak_bytes: usize,
@@ -85,6 +88,7 @@ impl CorrelatorMetrics {
         self.spill_pages_written += other.spill_pages_written;
         self.spill_pages_read += other.spill_pages_read;
         self.spill_queue_hits += other.spill_queue_hits;
+        self.budget_overruns += other.budget_overruns;
         self.peak_bytes += other.peak_bytes;
         self.final_bytes += other.final_bytes;
         self.wall = self.wall.max(other.wall);

@@ -114,7 +114,7 @@ pub enum Mode {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
     /// The correlation knobs shared by every mode (access points,
-    /// filters, window policy, memory budget, sealing SLO, router GC).
+    /// filters, window policy, memory budget, sealing SLO).
     pub correlator: CorrelatorConfig,
     /// Which execution strategy [`Pipeline::run`] uses.
     pub mode: Mode,
@@ -194,33 +194,10 @@ impl PipelineConfig {
         self
     }
 
-    /// Sheds state under budget pressure instead of spilling it (see
-    /// [`CorrelatorConfig::shed_on_budget`]).
-    pub fn with_shed_on_budget(mut self) -> Self {
-        self.correlator = self.correlator.with_shed_on_budget();
-        self
-    }
-
     /// Bounds the sealing latency of finished CAGs (see
     /// [`CorrelatorConfig::max_seal_lag`]).
     pub fn with_max_seal_lag(mut self, lag: u64) -> Self {
         self.correlator = self.correlator.with_max_seal_lag(lag);
-        self
-    }
-
-    /// Evicts idle per-channel router state in the session-router
-    /// modes; `0` disables the GC (see
-    /// [`CorrelatorConfig::channel_idle_horizon`]).
-    pub fn with_channel_idle_horizon(mut self, records: u64) -> Self {
-        self.correlator = self.correlator.with_channel_idle_horizon(records);
-        self
-    }
-
-    /// Force-settles parked lane heads in the session-router modes once
-    /// `depth` records buffer behind them; `0` parks indefinitely (see
-    /// [`CorrelatorConfig::lane_settle_depth`]).
-    pub fn with_lane_settle_depth(mut self, depth: u64) -> Self {
-        self.correlator = self.correlator.with_lane_settle_depth(depth);
         self
     }
 
@@ -869,10 +846,7 @@ mod tests {
             .with_window(Nanos::from_millis(5))
             .with_memory_budget(1 << 20)
             .with_spill_dir("/tmp/pt-spill-test")
-            .with_shed_on_budget()
             .with_max_seal_lag(64)
-            .with_channel_idle_horizon(10_000)
-            .with_lane_settle_depth(512)
             .with_ingest_threads(4)
             .with_mode(Mode::Sharded(0));
         assert_eq!(cfg.correlator.ranker.window, Nanos::from_millis(5));
@@ -881,15 +855,7 @@ mod tests {
             cfg.correlator.spill_dir.as_deref(),
             Some(std::path::Path::new("/tmp/pt-spill-test"))
         );
-        assert!(cfg.correlator.shed_on_budget);
         assert_eq!(cfg.correlator.max_seal_lag, Some(64));
-        assert_eq!(cfg.correlator.channel_idle_horizon, Some(10_000));
-        assert_eq!(cfg.correlator.lane_settle_depth, Some(512));
-        let off = PipelineConfig::new(access())
-            .with_channel_idle_horizon(0)
-            .with_lane_settle_depth(0);
-        assert_eq!(off.correlator.channel_idle_horizon, None);
-        assert_eq!(off.correlator.lane_settle_depth, None);
         assert_eq!(cfg.ingest_threads, 4);
         assert_eq!(cfg.mode, Mode::Sharded(0));
     }

@@ -46,9 +46,7 @@
 //! as well as the total
 //! [`CorrelatorMetrics::retrans_dropped`](crate::metrics::CorrelatorMetrics).
 //! Records without `seq=` keep the v1 marker behavior, restoring the
-//! byte-exactness Rule 1 depends on either way;
-//! [`dedup_retransmissions`] performs the same deduplication as a
-//! standalone pre-pass, on the same range logic.
+//! byte-exactness Rule 1 depends on either way.
 
 use std::fmt;
 use std::sync::Arc;
@@ -696,28 +694,6 @@ impl RangeDedup {
     }
 }
 
-/// Drops the retransmitted (duplicate) byte-range records of a
-/// sniffer-based capture, yielding the log a `tcp_recvmsg`-level probe
-/// would have produced. v2 records (carrying `seq=`) are deduplicated
-/// by offset arithmetic through [`RangeDedup`]; v1 records fall back to
-/// the capture frontend's `retrans` marker. Correlation ingest performs
-/// the same deduplication internally, so correlating the raw log and
-/// correlating this pre-pass's output yield the same CAG set — the
-/// invariance pinned by `tests/properties.rs`.
-pub fn dedup_retransmissions(records: impl IntoIterator<Item = RawRecord>) -> Vec<RawRecord> {
-    let mut dedup = RangeDedup::new();
-    records
-        .into_iter()
-        .filter_map(|mut r| match dedup.decide_owned(&r) {
-            IngestDecision::Drop => None,
-            IngestDecision::Admit(size) => {
-                r.size = size;
-                Some(r)
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -893,25 +869,33 @@ mod tests {
         assert_eq!(d.seq_gaps, 1);
     }
 
-    #[test]
-    fn dedup_retransmissions_uses_range_logic_for_v2() {
-        let base = "node2 java 1 2 RECEIVE 10.0.0.1:33000-10.0.0.2:8009";
-        let raw = format!("1 {base} 100 seq=0\n2 {base} 100 seq=0 retrans\n3 {base} 100 seq=100\n");
-        let recs = parse_log(&raw).unwrap();
-        let deduped = dedup_retransmissions(recs);
-        assert_eq!(deduped.len(), 2);
-        assert_eq!(deduped[0].seq, Some(0));
-        assert_eq!(deduped[1].seq, Some(100));
+    /// The records of `raw` that [`RangeDedup`] admits, in order.
+    fn range_dedup_admitted(raw: &str) -> Vec<RawRecord> {
+        let mut d = RangeDedup::new();
+        parse_log(raw)
+            .unwrap()
+            .into_iter()
+            .filter(|r| d.decide_owned(r) != IngestDecision::Drop)
+            .collect()
     }
 
     #[test]
-    fn dedup_retransmissions_strips_marked_records() {
-        let raw = format!("{LINE}\n{LINE} retrans\n{LINE}\n");
-        let recs = parse_log(&raw).unwrap();
-        assert_eq!(recs.len(), 3);
-        let deduped = dedup_retransmissions(recs);
-        assert_eq!(deduped.len(), 2);
-        assert!(deduped.iter().all(|r| !r.retrans));
+    fn range_dedup_uses_range_logic_for_v2() {
+        // The second record repeats [0,100) — retrans marker or not,
+        // the offsets decide.
+        let base = "node2 java 1 2 RECEIVE 10.0.0.1:33000-10.0.0.2:8009";
+        let raw = format!("1 {base} 100 seq=0\n2 {base} 100 seq=0 retrans\n3 {base} 100 seq=100\n");
+        let admitted = range_dedup_admitted(&raw);
+        assert_eq!(admitted.len(), 2);
+        assert_eq!(admitted[0].seq, Some(0));
+        assert_eq!(admitted[1].seq, Some(100));
+    }
+
+    #[test]
+    fn range_dedup_drops_v1_retrans_marked_records() {
+        let admitted = range_dedup_admitted(&format!("{LINE}\n{LINE} retrans\n{LINE}\n"));
+        assert_eq!(admitted.len(), 2);
+        assert!(admitted.iter().all(|r| !r.retrans));
     }
 
     #[test]

@@ -80,7 +80,9 @@ use crate::access::Classifier;
 use crate::activity::{Activity, ActivityType, ContextId, EndpointV4};
 use crate::cag::Cag;
 use crate::correlator::StreamingCorrelator;
-use crate::correlator::{CorrelationOutput, CorrelatorConfig};
+use crate::correlator::{
+    CorrelationOutput, CorrelatorConfig, DEFAULT_CHANNEL_IDLE_HORIZON, DEFAULT_LANE_SETTLE_DEPTH,
+};
 use crate::error::TraceError;
 use crate::fasthash::{FxBuildHasher, FxHashMap};
 use crate::filter::FilterSet;
@@ -329,12 +331,13 @@ struct SessionRouter {
     any_shared: bool,
     /// Staged activity count across lanes.
     staged: usize,
-    /// Channel-idle GC horizon in staged records (`None` = never).
-    idle_horizon: Option<u64>,
+    /// Channel-idle GC horizon in staged records
+    /// ([`DEFAULT_CHANNEL_IDLE_HORIZON`]).
+    idle_horizon: u64,
     /// Bounded-age settle rule: force-settle a lane's undecidable head
-    /// receive once this many records buffer behind it (`None` = only
-    /// at end of input).
-    settle_depth: Option<u64>,
+    /// receive once this many records buffer behind it
+    /// ([`DEFAULT_LANE_SETTLE_DEPTH`]).
+    settle_depth: u64,
     /// Heads settled early by the bounded-age rule (diagnostics).
     aged_settles: u64,
     /// Total records ever staged — the idle-GC clock.
@@ -363,7 +366,7 @@ struct SessionRouter {
 }
 
 impl SessionRouter {
-    fn new(shards: u32, idle_horizon: Option<u64>, settle_depth: Option<u64>) -> Self {
+    fn new(shards: u32, idle_horizon: u64, settle_depth: u64) -> Self {
         SessionRouter {
             shards,
             hasher: FxBuildHasher::default(),
@@ -462,10 +465,8 @@ impl SessionRouter {
             }
             c.last_touch = now;
         }
-        if let Some(horizon) = self.idle_horizon {
-            if self.records_staged - self.last_sweep >= horizon.max(1) {
-                self.sweep_idle_channels(horizon);
-            }
+        if self.records_staged - self.last_sweep >= self.idle_horizon {
+            self.sweep_idle_channels(self.idle_horizon);
         }
         let lane = match self.by_ctx.get(&a.ctx) {
             Some(&i) => i,
@@ -865,10 +866,7 @@ impl SessionRouter {
         if !matches!(d, RecvDecision::Defer) || final_input {
             return d;
         }
-        let deep = self
-            .settle_depth
-            .is_some_and(|n| self.lanes[lane].buf.len() as u64 >= n);
-        if !deep {
+        if (self.lanes[lane].buf.len() as u64) < self.settle_depth {
             return RecvDecision::Defer;
         }
         match self.decide_receive(a, true) {
@@ -1178,8 +1176,8 @@ impl ReaderCore {
             range_dedup: RangeDedup::new(),
             router: SessionRouter::new(
                 shards,
-                config.channel_idle_horizon,
-                config.lane_settle_depth,
+                DEFAULT_CHANNEL_IDLE_HORIZON,
+                DEFAULT_LANE_SETTLE_DEPTH,
             ),
             records_in: 0,
             filtered_out: 0,
@@ -1617,7 +1615,7 @@ impl Cluster {
     /// that never existed. Only that entity's lane parks; the other
     /// lanes keep routing. Such heads settle at [`Self::finish`], or
     /// earlier under the bounded-age settle rule
-    /// ([`CorrelatorConfig::lane_settle_depth`], on by default), which
+    /// ([`DEFAULT_LANE_SETTLE_DEPTH`]), which
     /// keeps router state bounded on endless noisy streams.
     ///
     /// # Errors
@@ -1736,6 +1734,26 @@ mod tests {
         let p = config(cfg, shards);
         p.validate()?;
         Cluster::new(&p)
+    }
+
+    /// An idle horizon or settle depth that is never reached.
+    const NEVER: u64 = u64::MAX;
+
+    /// A default sharded host whose session router uses the given idle
+    /// horizon and settle depth instead of the defaults.
+    fn host_with_router(shards: usize, idle: u64, settle: u64) -> Cluster {
+        let mut sc = host(CorrelatorConfig::new(access()), shards).unwrap();
+        sc.core.router = SessionRouter::new(shards as u32, idle, settle);
+        sc
+    }
+
+    /// `Pipeline::run`'s flow over a text log: stage everything, then
+    /// finish.
+    fn run_staged(mut sc: Cluster, log: &str) -> CorrelationOutput {
+        for line in log.lines() {
+            sc.stage_ref(&RawRecordRef::parse_line(line).unwrap());
+        }
+        sc.finish().unwrap()
     }
 
     /// Runs only the reader side over `records` and returns every
@@ -1954,7 +1972,7 @@ mod tests {
         // state and fall back once the claim routes it.
         let config = CorrelatorConfig::new(access());
         let classifier = Classifier::new(config.access.clone());
-        let mut router = SessionRouter::new(4, None, None);
+        let mut router = SessionRouter::new(4, NEVER, NEVER);
         let mut sink = |_m: ShardMsg, _s: u32| -> Result<(), TraceError> { Ok(()) };
         let mut feed = |router: &mut SessionRouter, line: String| {
             let rec: RawRecord = line.parse().unwrap();
@@ -2021,8 +2039,8 @@ mod tests {
         // once idle past the horizon and the memory gauge shrinks.
         let config = CorrelatorConfig::new(access());
         let classifier = Classifier::new(config.access.clone());
-        let run = |horizon: Option<u64>| {
-            let mut router = SessionRouter::new(4, horizon, None);
+        let run = |horizon: u64| {
+            let mut router = SessionRouter::new(4, horizon, NEVER);
             let mut sink = |_m: ShardMsg, _s: u32| -> Result<(), TraceError> { Ok(()) };
             let mut grow_peak = 0usize;
             for i in 0..400u64 {
@@ -2043,8 +2061,8 @@ mod tests {
             }
             (router, grow_peak)
         };
-        let (no_gc, _) = run(None);
-        let (gc, gc_peak) = run(Some(64));
+        let (no_gc, _) = run(NEVER);
+        let (gc, gc_peak) = run(64);
         assert_eq!(no_gc.claims.len(), 400, "without GC every channel persists");
         assert!(
             gc.claims.len() < 64,
@@ -2072,12 +2090,7 @@ mod tests {
         // evicted, so output is byte-identical with and without GC.
         let log = two_session_log();
         let base = sharded(CorrelatorConfig::new(access()), 3, Source::text(&log)).unwrap();
-        let gc = sharded(
-            CorrelatorConfig::new(access()).with_channel_idle_horizon(4),
-            3,
-            Source::text(&log),
-        )
-        .unwrap();
+        let gc = run_staged(host_with_router(3, 4, DEFAULT_LANE_SETTLE_DEPTH), &log);
         assert_eq!(format!("{:?}", gc.cags), format!("{:?}", base.cags));
         assert_eq!(gc.unfinished.len(), base.unfinished.len());
         assert_eq!(
@@ -2097,8 +2110,8 @@ mod tests {
         // the lane's resident depth is capped at the knob.
         let config = CorrelatorConfig::new(access());
         let classifier = Classifier::new(config.access.clone());
-        let run = |depth: Option<u64>| {
-            let mut router = SessionRouter::new(4, None, depth);
+        let run = |depth: u64| {
+            let mut router = SessionRouter::new(4, NEVER, depth);
             let mut sink = |_m: ShardMsg, _s: u32| -> Result<(), TraceError> { Ok(()) };
             for i in 0..200u64 {
                 let line = format!(
@@ -2111,10 +2124,10 @@ mod tests {
             }
             router
         };
-        let parked = run(None);
+        let parked = run(NEVER);
         assert_eq!(parked.staged, 200, "without the rule every record parks");
         assert_eq!(parked.aged_settles, 0);
-        let settled = run(Some(8));
+        let settled = run(8);
         assert!(
             settled.staged <= 8,
             "the lane must stay within the settle depth: {} staged",
@@ -2146,12 +2159,7 @@ mod tests {
         // default run byte-for-byte on a live log.
         let log = two_session_log();
         let base = sharded(CorrelatorConfig::new(access()), 3, Source::text(&log)).unwrap();
-        let eager = sharded(
-            CorrelatorConfig::new(access()).with_lane_settle_depth(1),
-            3,
-            Source::text(&log),
-        )
-        .unwrap();
+        let eager = run_staged(host_with_router(3, DEFAULT_CHANNEL_IDLE_HORIZON, 1), &log);
         assert_eq!(format!("{:?}", eager.cags), format!("{:?}", base.cags));
         assert_eq!(eager.unfinished.len(), base.unfinished.len());
     }
@@ -2190,8 +2198,8 @@ mod tests {
         // one `RangeDedup` coverage entry per (channel, op) forever;
         // with one, a drained channel's coverage is evicted together
         // with its router claims, and the memory gauge shrinks.
-        let run = |cfg: CorrelatorConfig| {
-            let mut sc = host(cfg, 2).unwrap();
+        let run = |idle: u64| {
+            let mut sc = host_with_router(2, idle, DEFAULT_LANE_SETTLE_DEPTH);
             let mut peak = 0usize;
             for i in 0..400u64 {
                 let port = 4001 + i;
@@ -2209,8 +2217,8 @@ mod tests {
             }
             (sc.approx_bytes(), peak)
         };
-        let (no_gc, _) = run(CorrelatorConfig::new(access()));
-        let (gc, gc_peak) = run(CorrelatorConfig::new(access()).with_channel_idle_horizon(64));
+        let (no_gc, _) = run(DEFAULT_CHANNEL_IDLE_HORIZON);
+        let (gc, gc_peak) = run(64);
         assert!(
             gc < no_gc,
             "evicting drained channels' coverage must shrink the reader: {gc} vs {no_gc}"
@@ -2228,7 +2236,7 @@ mod tests {
         // lane until finish.
         let config = CorrelatorConfig::new(access());
         let classifier = Classifier::new(config.access.clone());
-        let mut router = SessionRouter::new(4, None, None);
+        let mut router = SessionRouter::new(4, NEVER, NEVER);
         let mut routed: Vec<(Activity, u32)> = Vec::new();
         let feed = |router: &mut SessionRouter, line: &str, out: &mut Vec<(Activity, u32)>| {
             let rec: RawRecord = line.parse().unwrap();
@@ -2370,32 +2378,37 @@ mod tests {
 
     #[test]
     fn memory_budget_splits_across_shards() {
-        // A tiny budget still bounds each shard; evictions are counted
-        // in the merged metrics. Shedding is opt-in now; the default
-        // spill policy is covered by the cross-mode property tests.
+        // 4,000 never-ending requests from one client endpoint: every
+        // session routes to the same shard. A total budget equal to the
+        // unbudgeted single-shard peak holds that load whole, but split
+        // over two shards the loaded one gets half of it and must spill
+        // — without losing a path.
         let access = AccessPointSpec::new([80], ["10.0.0.1".parse().unwrap()]);
-        let mut cfg = CorrelatorConfig::new(access)
-            .with_memory_budget(16 * 1024)
-            .with_shed_on_budget();
-        cfg.mem_sample_every = 8;
-        let mut sc = host(cfg, 2).unwrap();
-        for i in 0..4_000u64 {
-            sc.push(
-                &format!(
-                    "{} web httpd 7 7 RECEIVE 192.168.0.9:{}-10.0.0.1:80 100",
+        let run = |shards: usize, budget: Option<usize>| {
+            let mut cfg = CorrelatorConfig::new(access.clone());
+            cfg.mem_sample_every = 8;
+            cfg.memory_budget = budget;
+            let mut sc = host(cfg, shards).unwrap();
+            for i in 0..4_000u64 {
+                sc.push_line(&format!(
+                    "{} web httpd 7 {} RECEIVE 192.168.0.9:5000-10.0.0.1:80 100",
                     i * 1_000_000,
-                    5_000 + (i % 50_000),
-                )
-                .parse()
-                .unwrap(),
-            )
-            .unwrap();
-        }
-        let out = sc.finish().unwrap();
-        assert!(out.metrics.engine.budget_evicted_cags > 0);
-        assert_eq!(
-            out.metrics.cags_unfinished,
-            out.unfinished.len() as u64 + out.metrics.engine.budget_evicted_cags
+                    10 + i,
+                ))
+                .unwrap();
+            }
+            sc.finish().unwrap()
+        };
+        let peak = run(1, None).metrics.peak_bytes;
+        let whole = run(1, Some(peak));
+        assert_eq!(whole.metrics.engine.spilled_cags, 0, "the budget fits");
+        let split = run(2, Some(peak));
+        assert!(
+            split.metrics.engine.spilled_cags > 0,
+            "half the budget per shard must spill: {:?}",
+            split.metrics.engine
         );
+        assert_eq!(split.unfinished.len(), 4_000, "spilling keeps every path");
+        assert_eq!(split.metrics.cags_unfinished, 4_000);
     }
 }

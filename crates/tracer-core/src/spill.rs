@@ -1,12 +1,12 @@
 //! Spill-to-disk tier for the correlator's memory budget.
 //!
-//! Under a memory budget the correlator used to *shed* its stalest
-//! state — counted, deterministic, but a recall loss: every shed CAG is
-//! a request the trace simply forgets. This module provides the
-//! buffer-pool-shaped alternative: cold state (unfinished CAGs, orphan
-//! chains, `RangeDedup` coverage) is serialized into fixed-size pages
-//! of a temp spill file and faulted back on touch, so pressure costs
-//! latency instead of accuracy.
+//! A memory budget is enforced by spilling, never by dropping state:
+//! cold state (unfinished CAGs, orphan chains, `RangeDedup` coverage)
+//! is serialized into fixed-size pages of a temp spill file and faulted
+//! back on touch, so pressure costs latency instead of accuracy. What
+//! cannot spill (window buffers, the context map, pending sends) is the
+//! resident floor; a sampling boundary where the floor alone exceeds
+//! the budget is counted in `CorrelatorMetrics::budget_overruns`.
 //!
 //! Design (borrowed from classic buffer-pool managers):
 //!

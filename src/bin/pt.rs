@@ -102,13 +102,10 @@ CORRELATION OPTIONS:
                        cold unfinished paths, orphan chains and dedup
                        state are spilled to disk beyond it and faulted
                        back on touch — output stays byte-identical to
-                       an unbounded run
+                       an unbounded run; nothing is ever dropped
   --spill-dir DIR      directory for the spill file (default: the
                        system temp dir); the file is unlinked when the
                        run ends
-  --shed-on-budget     restore the old budget policy: evict the stalest
-                       unfinished paths outright instead of spilling
-                       them (cheaper, but sheds recall)
   --shards N           correlate through the sharded parallel pipeline
                        with N worker threads (0 = one per CPU core);
                        output is in canonical root order, identical for
@@ -154,15 +151,16 @@ SERVE OPTIONS:
   --poll-ms N          tail poll cadence for quiet files (default 20)
   --print-paths        print one line per sealed causal path
   plus the correlation options --window-ms, --adaptive-window,
-  --memory-budget, --spill-dir, --shed-on-budget, --shards and
-  --max-seal-lag. Without --shards or --routers the daemon routes
-  records through the session router into one engine in its own thread
-  and emits each path as it seals; with them it correlates online but
-  emits paths at the final drain (the merge is global). The daemon
-  never uses the sliding window, so --window-ms and --adaptive-window
-  have no effect here (the daemon prints a note). On SIGINT/SIGTERM
-  the daemon stops tailing, drains what is sealable, prints the final
-  stats line and exits 0.
+  --memory-budget, --spill-dir, --shards and --max-seal-lag. Without
+  --shards or --routers the daemon routes records through the session
+  router into one engine in its own thread and emits each path as it
+  seals; with them it correlates online but emits paths at the final
+  drain (the merge is global). The daemon never uses the sliding
+  window, so --window-ms and --adaptive-window have no effect here
+  (the daemon prints a note). On SIGINT/SIGTERM the daemon stops
+  tailing, drains what is sealable, prints the final stats line and
+  exits 0. The stats line's budget_overruns counts sampling points
+  still over --memory-budget once everything spillable has spilled.
 
 Flags may appear before or after positional arguments; unknown flags
 are rejected. The log format is the paper's TCP_TRACE text format:
@@ -262,10 +260,10 @@ const PATTERNS_VALUE_OPTS: &[&str] = &[
     "--ingest-threads",
     "--dot",
 ];
-const CORRELATE_BOOL_OPTS: &[&str] = &["--adaptive-window", "--stats", "--shed-on-budget"];
+const CORRELATE_BOOL_OPTS: &[&str] = &["--adaptive-window", "--stats"];
 /// `--stats` is correlate-only, so `patterns`/`diff` reject it instead
 /// of silently accepting a no-op (same convention as `--dot`).
-const ANALYSIS_BOOL_OPTS: &[&str] = &["--adaptive-window", "--shed-on-budget"];
+const ANALYSIS_BOOL_OPTS: &[&str] = &["--adaptive-window"];
 
 fn access_from(args: &ParsedArgs) -> Result<AccessPointSpec, String> {
     let port: u16 = args.parse_opt("--port")?.ok_or("missing --port")?;
@@ -302,8 +300,8 @@ fn parse_bytes(s: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("bad --memory-budget {s:?}"))
 }
 
-/// Applies the shared budget-policy flags: `--memory-budget`,
-/// `--spill-dir` and `--shed-on-budget`.
+/// Applies the shared budget flags: `--memory-budget` and
+/// `--spill-dir`.
 fn apply_budget_opts(
     mut config: CorrelatorConfig,
     args: &ParsedArgs,
@@ -313,9 +311,6 @@ fn apply_budget_opts(
     }
     if let Some(dir) = args.opt("--spill-dir") {
         config = config.with_spill_dir(dir);
-    }
-    if args.flag("--shed-on-budget") {
-        config = config.with_shed_on_budget();
     }
     Ok(config)
 }
@@ -622,7 +617,7 @@ fn serve_cmd(raw: &[String]) -> Result<(), String> {
             "--kpi-every",
             "--poll-ms",
         ],
-        &["--adaptive-window", "--print-paths", "--shed-on-budget"],
+        &["--adaptive-window", "--print-paths"],
     )?;
     if args.positionals.is_empty() {
         return Err("missing source file(s)".into());
@@ -833,12 +828,6 @@ fn correlate_cmd(raw: &[String]) -> Result<(), String> {
         println!(
             "adaptive window: {} updates over {} rtt samples",
             out.metrics.ranker.window_updates, out.metrics.ranker.rtt_samples
-        );
-    }
-    if out.metrics.engine.budget_evicted_cags > 0 {
-        println!(
-            "memory budget: evicted {} stale unfinished paths ({} vertices)",
-            out.metrics.engine.budget_evicted_cags, out.metrics.engine.budget_evicted_vertices
         );
     }
     if out.metrics.engine.spilled_cags > 0 || out.metrics.spilled_dedup_entries > 0 {

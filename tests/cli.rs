@@ -232,6 +232,20 @@ fn adaptive_window_and_memory_budget_flags_work() {
         "lots",
     ]);
     assert!(err.contains("bad --memory-budget"), "{err}");
+
+    // A budget always spills; the shedding policy flag is gone.
+    let err = stderr_of(&[
+        "correlate",
+        log.as_str(),
+        "--port",
+        "80",
+        "--internal",
+        INTERNAL,
+        "--memory-budget",
+        "64m",
+        "--shed-on-budget",
+    ]);
+    assert!(err.contains("unknown flag \"--shed-on-budget\""), "{err}");
 }
 
 #[test]

@@ -42,6 +42,25 @@ fn run_mode(cfg: &CorrelatorConfig, mode: Mode, records: Vec<RawRecord>) -> Corr
         .unwrap()
 }
 
+/// A standalone retransmission pre-pass: the records [`RangeDedup`]
+/// admits (v2 `seq=` range arithmetic, v1 `retrans` marker fallback),
+/// each with its admitted size — the log a `tcp_recvmsg`-level probe
+/// would have produced.
+fn dedup_prepass(records: Vec<RawRecord>) -> Vec<RawRecord> {
+    use precisetracer::tracer::raw::IngestDecision;
+    let mut dedup = RangeDedup::new();
+    records
+        .into_iter()
+        .filter_map(|mut r| match dedup.decide_owned(&r) {
+            IngestDecision::Drop => None,
+            IngestDecision::Admit(size) => {
+                r.size = size;
+                Some(r)
+            }
+        })
+        .collect()
+}
+
 /// Sorted ground-truth tag sets of a CAG collection (order-insensitive
 /// content fingerprint).
 fn tag_sets(cags: &[Cag]) -> Vec<Vec<u64>> {
@@ -445,7 +464,7 @@ proptest! {
         let out = rubis::run(cfg);
         let config = out.correlator_config(Nanos::from_millis(100));
         let raw = run_mode(&config, Mode::Batch, out.records.clone());
-        let deduped_records = dedup_retransmissions(out.records.clone());
+        let deduped_records = dedup_prepass(out.records.clone());
         prop_assert!(
             deduped_records.len() <= out.records.len(),
             "dedup never adds records"
@@ -739,8 +758,8 @@ fn seq_range_dedup_matches_marker_dedup_on_lossy_corpus() {
 }
 
 /// The standalone pre-pass and the in-pipeline ingest dedup stay
-/// equivalent for v2 corpora: correlating `dedup_retransmissions`'s
-/// output equals correlating the raw v2 log.
+/// equivalent for v2 corpora: correlating `dedup_prepass`'s output
+/// equals correlating the raw v2 log.
 #[test]
 fn v2_dedup_prepass_equals_ingest_dedup() {
     let out = rubis::run(rubis::ExperimentConfig::lossy_v2());
@@ -749,7 +768,7 @@ fn v2_dedup_prepass_equals_ingest_dedup() {
     ))
     .unwrap();
     let raw = p.run(Source::records(out.records.clone())).unwrap();
-    let pre = dedup_retransmissions(out.records.clone());
+    let pre = dedup_prepass(out.records.clone());
     assert!(pre.len() < out.records.len());
     let deduped = p.run(Source::records(pre)).unwrap();
     assert_eq!(tag_sets(&raw.cags), tag_sets(&deduped.cags));
